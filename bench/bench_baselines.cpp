@@ -42,7 +42,7 @@ Row run(const GeneratedGraph& g, SolveMethod method) {
 
 void contrast_table() {
   parsdd_bench::header(
-      "E8a  Weight-contrast sweep (grid 64x64, tol 1e-8, total seconds "
+      "E8a  Weight-contrast sweep (grid 48x48, tol 1e-8, total seconds "
       "including setup)",
       "columns: contrast, then (iters, sec, converged) for chain-PCG / "
       "plain CG / Jacobi-PCG");
@@ -70,10 +70,10 @@ void family_table() {
     GeneratedGraph g;
   };
   std::vector<Case> cases;
-  cases.push_back({"grid-96", grid2d(72, 72)});
+  cases.push_back({"grid-72", grid2d(72, 72)});
   cases.push_back({"torus-64", torus2d(64, 64)});
-  cases.push_back({"er-n8k", erdos_renyi(5000, 20000, 9)});
-  cases.push_back({"path-20k", path(12000)});
+  cases.push_back({"er-n5k", erdos_renyi(5000, 20000, 9)});
+  cases.push_back({"path-12k", path(12000)});
   std::printf("%-12s | %7s %8s | %7s %8s\n", "family", "chain", "sec", "cg",
               "sec");
   for (auto& c : cases) {
@@ -86,7 +86,7 @@ void family_table() {
 
 void mode_ablation() {
   parsdd_bench::header(
-      "E8c  Ablation: ultrasparse vs sampled chain mode (grid 64x64)",
+      "E8c  Ablation: ultrasparse vs sampled chain mode (grid 48x48)",
       "columns: mode, chain depth, chain edges, iters, sec");
   GeneratedGraph g = grid2d(48, 48);
   for (int mode = 0; mode < 2; ++mode) {

@@ -8,7 +8,10 @@
 // independent indices of an elementwise loop); each lane executes the exact
 // scalar operation sequence with plain mul/add/div — never FMA, never a
 // reassociated horizontal reduction.  Serial-chain kernels (dot_serial,
-// sum_serial, spmv) and plain copies reuse the scalar templates.
+// sum_serial, spmv) and plain copies reuse the scalar templates.  Blocks
+// narrower than 8 columns (every serving batch) run the compile-time-width
+// loops of backend_detail.h, inlined here so they compile for AVX2; the
+// intrinsics below handle 8 columns and up.
 #include "kernels/backend_detail.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -79,6 +82,7 @@ PARSDD_TARGET_AVX2 void sub_scalar_avx2(double m, double* x, std::size_t n) {
 PARSDD_TARGET_AVX2 void axpy_cols_avx2(const double* a, const double* x,
                                        double* y, std::size_t rows,
                                        std::size_t k) {
+  if (run_narrow<AxpyCols<>>(k, a, x, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const double* xr = x + r * k;
     double* yr = y + r * k;
@@ -96,6 +100,7 @@ PARSDD_TARGET_AVX2 void axpy_cols_avx2(const double* a, const double* x,
 PARSDD_TARGET_AVX2 void xpay_cols_avx2(const double* x, const double* a,
                                        double* y, std::size_t rows,
                                        std::size_t k) {
+  if (run_narrow<XpayCols<>>(k, x, a, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const double* xr = x + r * k;
     double* yr = y + r * k;
@@ -112,6 +117,7 @@ PARSDD_TARGET_AVX2 void xpay_cols_avx2(const double* x, const double* a,
 
 PARSDD_TARGET_AVX2 void scale_cols_avx2(const double* a, double* x,
                                         std::size_t rows, std::size_t k) {
+  if (run_narrow<ScaleCols<>>(k, a, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     double* xr = x + r * k;
     std::size_t c = 0;
@@ -125,6 +131,7 @@ PARSDD_TARGET_AVX2 void scale_cols_avx2(const double* a, double* x,
 
 PARSDD_TARGET_AVX2 void sub_cols_avx2(const double* m, double* x,
                                       std::size_t rows, std::size_t k) {
+  if (run_narrow<SubCols<>>(k, m, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     double* xr = x + r * k;
     std::size_t c = 0;
@@ -140,9 +147,10 @@ PARSDD_TARGET_AVX2 void sub_cols_avx2(const double* m, double* x,
 // range (k-dimension blocking): each column still accumulates rows in
 // increasing order, so lane c is bit-identical to the scalar chain.
 
-PARSDD_TARGET_AVX2 void dot_cols_acc_avx2(const double* x, const double* y,
-                                          std::size_t rows, std::size_t k,
-                                          double* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void dot_cols_acc_avx2(
+    const double* x, const double* y, std::size_t rows, std::size_t k,
+    double* acc) {
+  if (run_narrow<DotColsAcc>(k, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 4 <= k; c += 4) {
     __m256d vacc = _mm256_loadu_pd(acc + c);
@@ -159,10 +167,10 @@ PARSDD_TARGET_AVX2 void dot_cols_acc_avx2(const double* x, const double* y,
   }
 }
 
-PARSDD_TARGET_AVX2 void dot_diff_cols_acc_avx2(const double* z, const double* x,
-                                               const double* y,
-                                               std::size_t rows, std::size_t k,
-                                               double* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void dot_diff_cols_acc_avx2(
+    const double* z, const double* x, const double* y, std::size_t rows,
+    std::size_t k, double* acc) {
+  if (run_narrow<DotDiffColsAcc>(k, z, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 4 <= k; c += 4) {
     __m256d vacc = _mm256_loadu_pd(acc + c);
@@ -183,8 +191,9 @@ PARSDD_TARGET_AVX2 void dot_diff_cols_acc_avx2(const double* z, const double* x,
   }
 }
 
-PARSDD_TARGET_AVX2 void sum_cols_acc_avx2(const double* x, std::size_t rows,
-                                          std::size_t k, double* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void sum_cols_acc_avx2(
+    const double* x, std::size_t rows, std::size_t k, double* acc) {
+  if (run_narrow<SumColsAcc>(k, x, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 4 <= k; c += 4) {
     __m256d vacc = _mm256_loadu_pd(acc + c);
@@ -208,6 +217,7 @@ PARSDD_TARGET_AVX2 void spmm_rows_avx2(const std::size_t* off,
                                        const double* val, const double* x,
                                        double* y, std::size_t r0,
                                        std::size_t r1, std::size_t k) {
+  if (run_narrow<SpmmRows>(k, off, col, val, x, y, r0, r1)) return;
   for (std::size_t i = r0; i < r1; ++i) {
     double* yr = y + i * k;
     std::size_t p0 = off[i], p1 = off[i + 1];
@@ -264,6 +274,7 @@ PARSDD_TARGET_AVX2 void fold_cols_avx2(const ElimStep* steps,
                                        std::size_t nsteps, double* folded,
                                        std::size_t k, std::size_t c0,
                                        std::size_t c1) {
+  if (run_narrow<FoldCols>(c1 - c0, steps, nsteps, folded + c0, k)) return;
   for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
     const ElimStep& s = steps[s_idx];
     const double* fv = folded + static_cast<std::size_t>(s.v) * k;
@@ -283,6 +294,10 @@ PARSDD_TARGET_AVX2 void backsub_cols_avx2(const ElimStep* steps,
                                           const double* folded, double* x,
                                           std::size_t k, std::size_t c0,
                                           std::size_t c1) {
+  if (run_narrow<BacksubCols>(c1 - c0, steps, nsteps, folded + c0, x + c0,
+                              k)) {
+    return;
+  }
   for (std::size_t s_idx = nsteps; s_idx-- > 0;) {
     const ElimStep& s = steps[s_idx];
     double* xv = x + static_cast<std::size_t>(s.v) * k;
@@ -328,6 +343,7 @@ PARSDD_TARGET_AVX2 void backsub_cols_avx2(const ElimStep* steps,
 PARSDD_TARGET_AVX2 void axpy_cols_avx2_f32(const float* a, const float* x,
                                            float* y, std::size_t rows,
                                            std::size_t k) {
+  if (run_narrow<AxpyCols<>>(k, a, x, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = x + r * k;
     float* yr = y + r * k;
@@ -345,6 +361,7 @@ PARSDD_TARGET_AVX2 void axpy_cols_avx2_f32(const float* a, const float* x,
 PARSDD_TARGET_AVX2 void xpay_cols_avx2_f32(const float* x, const float* a,
                                            float* y, std::size_t rows,
                                            std::size_t k) {
+  if (run_narrow<XpayCols<>>(k, x, a, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = x + r * k;
     float* yr = y + r * k;
@@ -359,8 +376,14 @@ PARSDD_TARGET_AVX2 void xpay_cols_avx2_f32(const float* x, const float* a,
   }
 }
 
+PARSDD_TARGET_AVX2 void scale_cols_avx2_f32(const float* a, float* x,
+                                            std::size_t rows, std::size_t k) {
+  run_any_width<ScaleCols<>>(k, a, x, rows);
+}
+
 PARSDD_TARGET_AVX2 void sub_cols_avx2_f32(const float* m, float* x,
                                           std::size_t rows, std::size_t k) {
+  if (run_narrow<SubCols<>>(k, m, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     float* xr = x + r * k;
     std::size_t c = 0;
@@ -372,9 +395,10 @@ PARSDD_TARGET_AVX2 void sub_cols_avx2_f32(const float* m, float* x,
   }
 }
 
-PARSDD_TARGET_AVX2 void dot_cols_acc_avx2_f32(const float* x, const float* y,
-                                              std::size_t rows, std::size_t k,
-                                              float* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void dot_cols_acc_avx2_f32(
+    const float* x, const float* y, std::size_t rows, std::size_t k,
+    float* acc) {
+  if (run_narrow<DotColsAcc>(k, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m256 vacc = _mm256_loadu_ps(acc + c);
@@ -391,11 +415,10 @@ PARSDD_TARGET_AVX2 void dot_cols_acc_avx2_f32(const float* x, const float* y,
   }
 }
 
-PARSDD_TARGET_AVX2 void dot_diff_cols_acc_avx2_f32(const float* z,
-                                                   const float* x,
-                                                   const float* y,
-                                                   std::size_t rows,
-                                                   std::size_t k, float* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void dot_diff_cols_acc_avx2_f32(
+    const float* z, const float* x, const float* y, std::size_t rows,
+    std::size_t k, float* acc) {
+  if (run_narrow<DotDiffColsAcc>(k, z, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m256 vacc = _mm256_loadu_ps(acc + c);
@@ -415,8 +438,9 @@ PARSDD_TARGET_AVX2 void dot_diff_cols_acc_avx2_f32(const float* z,
   }
 }
 
-PARSDD_TARGET_AVX2 void sum_cols_acc_avx2_f32(const float* x, std::size_t rows,
-                                              std::size_t k, float* acc) {
+PARSDD_TARGET_AVX2 PARSDD_LANE_REDUCTION void sum_cols_acc_avx2_f32(
+    const float* x, std::size_t rows, std::size_t k, float* acc) {
+  if (run_narrow<SumColsAcc>(k, x, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m256 vacc = _mm256_loadu_ps(acc + c);
@@ -437,6 +461,7 @@ PARSDD_TARGET_AVX2 void spmm_rows_avx2_f32(const std::size_t* off,
                                            const float* val, const float* x,
                                            float* y, std::size_t r0,
                                            std::size_t r1, std::size_t k) {
+  if (run_narrow<SpmmRows>(k, off, col, val, x, y, r0, r1)) return;
   for (std::size_t i = r0; i < r1; ++i) {
     float* yr = y + i * k;
     std::size_t p0 = off[i], p1 = off[i + 1];
@@ -479,6 +504,7 @@ PARSDD_TARGET_AVX2 void fold_cols_avx2_f32(const ElimStep* steps,
                                            std::size_t nsteps, float* folded,
                                            std::size_t k, std::size_t c0,
                                            std::size_t c1) {
+  if (run_narrow<FoldCols>(c1 - c0, steps, nsteps, folded + c0, k)) return;
   for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
     const ElimStep& s = steps[s_idx];
     const float* fv = folded + static_cast<std::size_t>(s.v) * k;
@@ -498,6 +524,10 @@ PARSDD_TARGET_AVX2 void backsub_cols_avx2_f32(const ElimStep* steps,
                                               const float* folded, float* x,
                                               std::size_t k, std::size_t c0,
                                               std::size_t c1) {
+  if (run_narrow<BacksubCols>(c1 - c0, steps, nsteps, folded + c0, x + c0,
+                              k)) {
+    return;
+  }
   for (std::size_t s_idx = nsteps; s_idx-- > 0;) {
     const ElimStep& s = steps[s_idx];
     float* xv = x + static_cast<std::size_t>(s.v) * k;
@@ -574,7 +604,7 @@ const Backend& avx2_backend() {
       /*f32=*/{
           /*axpy_cols=*/&axpy_cols_avx2_f32,
           /*xpay_cols=*/&xpay_cols_avx2_f32,
-          /*scale_cols=*/&scale_cols_t<float>,
+          /*scale_cols=*/&scale_cols_avx2_f32,
           /*copy_cols=*/&copy_cols_t<float>,
           /*sub_cols=*/&sub_cols_avx2_f32,
           /*dot_cols_acc=*/&dot_cols_acc_avx2_f32,

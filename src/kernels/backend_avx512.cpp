@@ -3,7 +3,9 @@
 // attributes, vectors across independent columns only, plain mul/add/div
 // (never FMA), serial-chain kernels shared with the scalar templates.
 // 8 f64 lanes / 16 f32 lanes per register — a fold/backsub column chunk
-// (kColChunk = 8) is exactly one f64 register.
+// (kColChunk = 8) is exactly one f64 register.  Narrower blocks (k <= 7,
+// every serving batch) run the compile-time-width loops of
+// backend_detail.h, inlined here so they compile for AVX-512.
 #include "kernels/backend_detail.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -75,6 +77,7 @@ PARSDD_TARGET_AVX512 void sub_scalar_avx512(double m, double* x,
 PARSDD_TARGET_AVX512 void axpy_cols_avx512(const double* a, const double* x,
                                            double* y, std::size_t rows,
                                            std::size_t k) {
+  if (run_narrow<AxpyCols<>>(k, a, x, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const double* xr = x + r * k;
     double* yr = y + r * k;
@@ -92,6 +95,7 @@ PARSDD_TARGET_AVX512 void axpy_cols_avx512(const double* a, const double* x,
 PARSDD_TARGET_AVX512 void xpay_cols_avx512(const double* x, const double* a,
                                            double* y, std::size_t rows,
                                            std::size_t k) {
+  if (run_narrow<XpayCols<>>(k, x, a, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const double* xr = x + r * k;
     double* yr = y + r * k;
@@ -108,6 +112,7 @@ PARSDD_TARGET_AVX512 void xpay_cols_avx512(const double* x, const double* a,
 
 PARSDD_TARGET_AVX512 void scale_cols_avx512(const double* a, double* x,
                                             std::size_t rows, std::size_t k) {
+  if (run_narrow<ScaleCols<>>(k, a, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     double* xr = x + r * k;
     std::size_t c = 0;
@@ -121,6 +126,7 @@ PARSDD_TARGET_AVX512 void scale_cols_avx512(const double* a, double* x,
 
 PARSDD_TARGET_AVX512 void sub_cols_avx512(const double* m, double* x,
                                           std::size_t rows, std::size_t k) {
+  if (run_narrow<SubCols<>>(k, m, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     double* xr = x + r * k;
     std::size_t c = 0;
@@ -132,9 +138,10 @@ PARSDD_TARGET_AVX512 void sub_cols_avx512(const double* m, double* x,
   }
 }
 
-PARSDD_TARGET_AVX512 void dot_cols_acc_avx512(const double* x, const double* y,
-                                              std::size_t rows, std::size_t k,
-                                              double* acc) {
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void dot_cols_acc_avx512(
+    const double* x, const double* y, std::size_t rows, std::size_t k,
+    double* acc) {
+  if (run_narrow<DotColsAcc>(k, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m512d vacc = _mm512_loadu_pd(acc + c);
@@ -151,12 +158,10 @@ PARSDD_TARGET_AVX512 void dot_cols_acc_avx512(const double* x, const double* y,
   }
 }
 
-PARSDD_TARGET_AVX512 void dot_diff_cols_acc_avx512(const double* z,
-                                                   const double* x,
-                                                   const double* y,
-                                                   std::size_t rows,
-                                                   std::size_t k,
-                                                   double* acc) {
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void dot_diff_cols_acc_avx512(
+    const double* z, const double* x, const double* y, std::size_t rows,
+    std::size_t k, double* acc) {
+  if (run_narrow<DotDiffColsAcc>(k, z, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m512d vacc = _mm512_loadu_pd(acc + c);
@@ -177,9 +182,9 @@ PARSDD_TARGET_AVX512 void dot_diff_cols_acc_avx512(const double* z,
   }
 }
 
-PARSDD_TARGET_AVX512 void sum_cols_acc_avx512(const double* x,
-                                              std::size_t rows, std::size_t k,
-                                              double* acc) {
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void sum_cols_acc_avx512(
+    const double* x, std::size_t rows, std::size_t k, double* acc) {
+  if (run_narrow<SumColsAcc>(k, x, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 8 <= k; c += 8) {
     __m512d vacc = _mm512_loadu_pd(acc + c);
@@ -200,6 +205,7 @@ PARSDD_TARGET_AVX512 void spmm_rows_avx512(const std::size_t* off,
                                            const double* val, const double* x,
                                            double* y, std::size_t r0,
                                            std::size_t r1, std::size_t k) {
+  if (run_narrow<SpmmRows>(k, off, col, val, x, y, r0, r1)) return;
   for (std::size_t i = r0; i < r1; ++i) {
     double* yr = y + i * k;
     std::size_t p0 = off[i], p1 = off[i + 1];
@@ -254,6 +260,7 @@ PARSDD_TARGET_AVX512 void fold_cols_avx512(const ElimStep* steps,
                                            std::size_t nsteps, double* folded,
                                            std::size_t k, std::size_t c0,
                                            std::size_t c1) {
+  if (run_narrow<FoldCols>(c1 - c0, steps, nsteps, folded + c0, k)) return;
   for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
     const ElimStep& s = steps[s_idx];
     const double* fv = folded + static_cast<std::size_t>(s.v) * k;
@@ -273,6 +280,10 @@ PARSDD_TARGET_AVX512 void backsub_cols_avx512(const ElimStep* steps,
                                               const double* folded, double* x,
                                               std::size_t k, std::size_t c0,
                                               std::size_t c1) {
+  if (run_narrow<BacksubCols>(c1 - c0, steps, nsteps, folded + c0, x + c0,
+                              k)) {
+    return;
+  }
   for (std::size_t s_idx = nsteps; s_idx-- > 0;) {
     const ElimStep& s = steps[s_idx];
     double* xv = x + static_cast<std::size_t>(s.v) * k;
@@ -317,6 +328,7 @@ PARSDD_TARGET_AVX512 void backsub_cols_avx512(const ElimStep* steps,
 PARSDD_TARGET_AVX512 void axpy_cols_avx512_f32(const float* a, const float* x,
                                                float* y, std::size_t rows,
                                                std::size_t k) {
+  if (run_narrow<AxpyCols<>>(k, a, x, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = x + r * k;
     float* yr = y + r * k;
@@ -334,6 +346,7 @@ PARSDD_TARGET_AVX512 void axpy_cols_avx512_f32(const float* a, const float* x,
 PARSDD_TARGET_AVX512 void xpay_cols_avx512_f32(const float* x, const float* a,
                                                float* y, std::size_t rows,
                                                std::size_t k) {
+  if (run_narrow<XpayCols<>>(k, x, a, y, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = x + r * k;
     float* yr = y + r * k;
@@ -348,9 +361,16 @@ PARSDD_TARGET_AVX512 void xpay_cols_avx512_f32(const float* x, const float* a,
   }
 }
 
+PARSDD_TARGET_AVX512 void scale_cols_avx512_f32(const float* a, float* x,
+                                                std::size_t rows,
+                                                std::size_t k) {
+  run_any_width<ScaleCols<>>(k, a, x, rows);
+}
+
 PARSDD_TARGET_AVX512 void sub_cols_avx512_f32(const float* m, float* x,
                                               std::size_t rows,
                                               std::size_t k) {
+  if (run_narrow<SubCols<>>(k, m, x, rows)) return;
   for (std::size_t r = 0; r < rows; ++r) {
     float* xr = x + r * k;
     std::size_t c = 0;
@@ -362,10 +382,10 @@ PARSDD_TARGET_AVX512 void sub_cols_avx512_f32(const float* m, float* x,
   }
 }
 
-PARSDD_TARGET_AVX512 void dot_cols_acc_avx512_f32(const float* x,
-                                                  const float* y,
-                                                  std::size_t rows,
-                                                  std::size_t k, float* acc) {
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void dot_cols_acc_avx512_f32(
+    const float* x, const float* y, std::size_t rows, std::size_t k,
+    float* acc) {
+  if (run_narrow<DotColsAcc>(k, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 16 <= k; c += 16) {
     __m512 vacc = _mm512_loadu_ps(acc + c);
@@ -382,9 +402,10 @@ PARSDD_TARGET_AVX512 void dot_cols_acc_avx512_f32(const float* x,
   }
 }
 
-PARSDD_TARGET_AVX512 void dot_diff_cols_acc_avx512_f32(
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void dot_diff_cols_acc_avx512_f32(
     const float* z, const float* x, const float* y, std::size_t rows,
     std::size_t k, float* acc) {
+  if (run_narrow<DotDiffColsAcc>(k, z, x, y, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 16 <= k; c += 16) {
     __m512 vacc = _mm512_loadu_ps(acc + c);
@@ -405,9 +426,9 @@ PARSDD_TARGET_AVX512 void dot_diff_cols_acc_avx512_f32(
   }
 }
 
-PARSDD_TARGET_AVX512 void sum_cols_acc_avx512_f32(const float* x,
-                                                  std::size_t rows,
-                                                  std::size_t k, float* acc) {
+PARSDD_TARGET_AVX512 PARSDD_LANE_REDUCTION void sum_cols_acc_avx512_f32(
+    const float* x, std::size_t rows, std::size_t k, float* acc) {
+  if (run_narrow<SumColsAcc>(k, x, rows, acc)) return;
   std::size_t c = 0;
   for (; c + 16 <= k; c += 16) {
     __m512 vacc = _mm512_loadu_ps(acc + c);
@@ -429,6 +450,7 @@ PARSDD_TARGET_AVX512 void spmm_rows_avx512_f32(const std::size_t* off,
                                                const float* x, float* y,
                                                std::size_t r0, std::size_t r1,
                                                std::size_t k) {
+  if (run_narrow<SpmmRows>(k, off, col, val, x, y, r0, r1)) return;
   for (std::size_t i = r0; i < r1; ++i) {
     float* yr = y + i * k;
     std::size_t p0 = off[i], p1 = off[i + 1];
@@ -454,40 +476,15 @@ PARSDD_TARGET_AVX512 void spmm_rows_avx512_f32(const std::size_t* off,
   }
 }
 
-PARSDD_TARGET_AVX512 inline void fold_update_avx512_f32(float f,
-                                                        const float* fv,
-                                                        float* fu,
-                                                        std::size_t c0,
-                                                        std::size_t c1) {
-  __m512 vf = _mm512_set1_ps(f);
-  std::size_t c = c0;
-  for (; c + 16 <= c1; c += 16) {
-    __m512 u = _mm512_loadu_ps(fu + c);
-    u = _mm512_add_ps(u, _mm512_mul_ps(vf, _mm512_loadu_ps(fv + c)));
-    _mm512_storeu_ps(fu + c, u);
-  }
-  for (; c < c1; ++c) fu[c] += f * fv[c];
-}
-
+// Fold/backsub chunks are at most 8 columns wide (kColChunk), under the
+// 16-lane f32 register: the portable loops, compiled for this ISA, cover
+// every width.
 PARSDD_TARGET_AVX512 void fold_cols_avx512_f32(const ElimStep* steps,
                                                std::size_t nsteps,
                                                float* folded, std::size_t k,
                                                std::size_t c0,
                                                std::size_t c1) {
-  for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
-    const ElimStep& s = steps[s_idx];
-    const float* fv = folded + static_cast<std::size_t>(s.v) * k;
-    if (s.degree >= 1) {
-      fold_update_avx512_f32(static_cast<float>(s.w1 / s.pivot), fv,
-                             folded + static_cast<std::size_t>(s.u1) * k, c0,
-                             c1);
-    }
-    if (s.degree == 2) {
-      fold_update_avx512_f32(static_cast<float>(s.w2 / s.pivot), fv,
-                             folded + static_cast<std::size_t>(s.u2) * k, c0,
-                             c1);
-    }
-  }
+  run_any_width<FoldCols>(c1 - c0, steps, nsteps, folded + c0, k);
 }
 
 PARSDD_TARGET_AVX512 void backsub_cols_avx512_f32(const ElimStep* steps,
@@ -496,9 +493,7 @@ PARSDD_TARGET_AVX512 void backsub_cols_avx512_f32(const ElimStep* steps,
                                                   float* x, std::size_t k,
                                                   std::size_t c0,
                                                   std::size_t c1) {
-  // Chunks are at most 8 columns wide (kColChunk), under the 16-lane f32
-  // register: delegate to the scalar chain (same arithmetic, no win here).
-  backsub_cols_t<float>(steps, nsteps, folded, x, k, c0, c1);
+  run_any_width<BacksubCols>(c1 - c0, steps, nsteps, folded + c0, x + c0, k);
 }
 
 }  // namespace
@@ -536,7 +531,7 @@ const Backend& avx512_backend() {
       /*f32=*/{
           /*axpy_cols=*/&axpy_cols_avx512_f32,
           /*xpay_cols=*/&xpay_cols_avx512_f32,
-          /*scale_cols=*/&scale_cols_t<float>,
+          /*scale_cols=*/&scale_cols_avx512_f32,
           /*copy_cols=*/&copy_cols_t<float>,
           /*sub_cols=*/&sub_cols_avx512_f32,
           /*dot_cols_acc=*/&dot_cols_acc_avx512_f32,

@@ -5,9 +5,10 @@
 // greedy_elimination.cpp used: canonical_blocks partitions, per-block left
 // folds combined in index order, and the same GranularitySite gating — so a
 // solve is bitwise identical to the pre-backend code under every backend
-// and every pool size.  Masked column variants keep the historic per-row
-// scalar loops (they only run after columns converge, and the mask makes
-// the lanes non-uniform; not worth vectorizing).
+// and every pool size.  The masked column variants (they run only after a
+// column freezes) and the row gather/scatter are not per-ISA; they use the
+// same compile-time-width loops as the backends (backend_detail.h), built
+// for the baseline ISA.
 #include "kernels/kernels.h"
 
 #include <algorithm>
@@ -106,10 +107,6 @@ GranularitySite& scatter_site() {
   return site;
 }
 
-inline bool mask_active(const ColMask* mask, std::size_t c) {
-  return mask == nullptr || (*mask)[c] != 0;
-}
-
 // Runs fn(s, e) over the canonical blocks of [0, n) on the pool, or as one
 // serial fn(0, n) call.  Legal only for partition-independent bodies
 // (elementwise / per-row-independent kernels): the split cannot change bits.
@@ -134,18 +131,18 @@ void run_elementwise(GranularitySite& site, std::size_t n, std::uint64_t work,
 
 // Canonical per-block column reduction: per-block partials accumulated by a
 // backend kernel, folded in index order — the historic reduce_cols
-// structure from multivec.cpp, bit for bit.
+// structure from multivec.cpp, bit for bit.  Overwrites out[0, k).
 template <typename T, typename AccFn>
-std::vector<T> reduce_cols_blocks(GranularitySite& site, std::size_t rows,
-                                  std::size_t k, AccFn&& accblock) {
-  std::vector<T> acc(k, T(0));
-  if (k == 0 || rows == 0) return acc;
+void reduce_cols_blocks(GranularitySite& site, std::size_t rows,
+                        std::size_t k, T* out, AccFn&& accblock) {
+  std::fill(out, out + k, T(0));
+  if (k == 0 || rows == 0) return;
   std::uint64_t work = static_cast<std::uint64_t>(rows) * k;
   std::size_t nb = canonical_blocks(rows, 0);
   if (nb == 1) {
     parsdd::detail::SeqTimer timer(site, work);
-    accblock(0, rows, acc.data());
-    return acc;
+    accblock(0, rows, out);
+    return;
   }
   std::size_t g = kDefaultGrain;
   std::vector<std::vector<T>> partial(nb, std::vector<T>(k, T(0)));
@@ -160,9 +157,19 @@ std::vector<T> reduce_cols_blocks(GranularitySite& site, std::size_t rows,
     for (std::size_t b = 0; b < nb; ++b) block_fold(b);
   }
   for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t c = 0; c < k; ++c) acc[c] += partial[b][c];
+    for (std::size_t c = 0; c < k; ++c) out[c] += partial[b][c];
   }
-  return acc;
+}
+
+template <typename T>
+void sum_cols_into(const BasicMultiVec<T>& x, T* out) {
+  std::size_t k = x.cols();
+  const BlockOps<T>& ops = backend().ops<T>();
+  reduce_cols_blocks<T>(
+      reduce_site(), x.rows(), k, out,
+      [&](std::size_t s, std::size_t e, T* acc) {
+        ops.sum_cols_acc(x.row(s), e - s, k, acc);
+      });
 }
 
 }  // namespace
@@ -291,13 +298,12 @@ void axpy_cols(const std::vector<T>& a, const BasicMultiVec<T>& x,
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
   if (mask != nullptr) {
-    parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
-      const T* xr = x.row(i);
-      T* yr = y.row(i);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mask_active(mask, c)) yr[c] += a[c] * xr[c];
-      }
-    }, 0, work);
+    run_elementwise(rowwise_site(), x.rows(), work, 0,
+                    [&](std::size_t s, std::size_t e) {
+                      detail::run_any_width<detail::AxpyCols<true>>(
+                          k, a.data(), x.row(s), y.row(s), e - s,
+                          mask->data());
+                    });
     return;
   }
   const BlockOps<T>& ops = backend().ops<T>();
@@ -315,13 +321,12 @@ void xpay_cols(const BasicMultiVec<T>& x, const std::vector<T>& a,
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
   if (mask != nullptr) {
-    parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
-      const T* xr = x.row(i);
-      T* yr = y.row(i);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mask_active(mask, c)) yr[c] = xr[c] + a[c] * yr[c];
-      }
-    }, 0, work);
+    run_elementwise(rowwise_site(), x.rows(), work, 0,
+                    [&](std::size_t s, std::size_t e) {
+                      detail::run_any_width<detail::XpayCols<true>>(
+                          k, x.row(s), a.data(), y.row(s), e - s,
+                          mask->data());
+                    });
     return;
   }
   const BlockOps<T>& ops = backend().ops<T>();
@@ -332,13 +337,37 @@ void xpay_cols(const BasicMultiVec<T>& x, const std::vector<T>& a,
 }
 
 template <typename T>
-std::vector<T> dot_cols(const BasicMultiVec<T>& x, const BasicMultiVec<T>& y) {
+void dot_cols(const BasicMultiVec<T>& x, const BasicMultiVec<T>& y,
+              std::vector<T>& out) {
   assert(x.rows() == y.rows() && x.cols() == y.cols());
   std::size_t k = x.cols();
+  out.resize(k);
   const BlockOps<T>& ops = backend().ops<T>();
-  return reduce_cols_blocks<T>(
-      reduce_site(), x.rows(), k, [&](std::size_t s, std::size_t e, T* acc) {
-        ops.dot_cols_acc(x.row(s), y.row(s), e - s, k, acc);
+  reduce_cols_blocks<T>(reduce_site(), x.rows(), k, out.data(),
+                        [&](std::size_t s, std::size_t e, T* acc) {
+                          ops.dot_cols_acc(x.row(s), y.row(s), e - s, k, acc);
+                        });
+}
+
+template <typename T>
+std::vector<T> dot_cols(const BasicMultiVec<T>& x, const BasicMultiVec<T>& y) {
+  std::vector<T> out;
+  kernels::dot_cols(x, y, out);
+  return out;
+}
+
+template <typename T>
+void dot_diff_cols(const BasicMultiVec<T>& z, const BasicMultiVec<T>& x,
+                   const BasicMultiVec<T>& y, std::vector<T>& out) {
+  assert(z.rows() == x.rows() && x.rows() == y.rows());
+  assert(z.cols() == x.cols() && x.cols() == y.cols());
+  std::size_t k = x.cols();
+  out.resize(k);
+  const BlockOps<T>& ops = backend().ops<T>();
+  reduce_cols_blocks<T>(
+      reduce_site(), x.rows(), k, out.data(),
+      [&](std::size_t s, std::size_t e, T* acc) {
+        ops.dot_diff_cols_acc(z.row(s), x.row(s), y.row(s), e - s, k, acc);
       });
 }
 
@@ -346,31 +375,29 @@ template <typename T>
 std::vector<T> dot_diff_cols(const BasicMultiVec<T>& z,
                              const BasicMultiVec<T>& x,
                              const BasicMultiVec<T>& y) {
-  assert(z.rows() == x.rows() && x.rows() == y.rows());
-  assert(z.cols() == x.cols() && x.cols() == y.cols());
-  std::size_t k = x.cols();
-  const BlockOps<T>& ops = backend().ops<T>();
-  return reduce_cols_blocks<T>(
-      reduce_site(), x.rows(), k, [&](std::size_t s, std::size_t e, T* acc) {
-        ops.dot_diff_cols_acc(z.row(s), x.row(s), y.row(s), e - s, k, acc);
-      });
+  std::vector<T> out;
+  kernels::dot_diff_cols(z, x, y, out);
+  return out;
+}
+
+template <typename T>
+void norm2_cols(const BasicMultiVec<T>& x, std::vector<T>& out) {
+  kernels::dot_cols(x, x, out);
+  for (T& v : out) v = std::sqrt(v);
 }
 
 template <typename T>
 std::vector<T> norm2_cols(const BasicMultiVec<T>& x) {
-  std::vector<T> n = kernels::dot_cols(x, x);
-  for (T& v : n) v = std::sqrt(v);
-  return n;
+  std::vector<T> out;
+  kernels::norm2_cols(x, out);
+  return out;
 }
 
 template <typename T>
 std::vector<T> sum_cols(const BasicMultiVec<T>& x) {
-  std::size_t k = x.cols();
-  const BlockOps<T>& ops = backend().ops<T>();
-  return reduce_cols_blocks<T>(
-      reduce_site(), x.rows(), k, [&](std::size_t s, std::size_t e, T* acc) {
-        ops.sum_cols_acc(x.row(s), e - s, k, acc);
-      });
+  std::vector<T> out(x.cols());
+  sum_cols_into(x, out.data());
+  return out;
 }
 
 template <typename T>
@@ -380,12 +407,11 @@ void scale_cols(const std::vector<T>& a, BasicMultiVec<T>& x,
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
   if (mask != nullptr) {
-    parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
-      T* xr = x.row(i);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mask_active(mask, c)) xr[c] *= a[c];
-      }
-    }, 0, work);
+    run_elementwise(rowwise_site(), x.rows(), work, 0,
+                    [&](std::size_t s, std::size_t e) {
+                      detail::run_any_width<detail::ScaleCols<true>>(
+                          k, a.data(), x.row(s), e - s, mask->data());
+                    });
     return;
   }
   const BlockOps<T>& ops = backend().ops<T>();
@@ -402,13 +428,11 @@ void copy_cols(const BasicMultiVec<T>& src, BasicMultiVec<T>& dst,
   std::size_t k = src.cols();
   std::uint64_t work = static_cast<std::uint64_t>(src.rows()) * k;
   if (mask != nullptr) {
-    parallel_for(rowwise_site(), 0, src.rows(), [&](std::size_t i) {
-      const T* sr = src.row(i);
-      T* dr = dst.row(i);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mask_active(mask, c)) dr[c] = sr[c];
-      }
-    }, 0, work);
+    run_elementwise(rowwise_site(), src.rows(), work, 0,
+                    [&](std::size_t s, std::size_t e) {
+                      detail::run_any_width<detail::CopyCols<true>>(
+                          k, src.row(s), dst.row(s), e - s, mask->data());
+                    });
     return;
   }
   const BlockOps<T>& ops = backend().ops<T>();
@@ -421,25 +445,29 @@ void copy_cols(const BasicMultiVec<T>& src, BasicMultiVec<T>& dst,
 template <typename T>
 void project_out_constant_cols(BasicMultiVec<T>& x, const ColMask* mask) {
   if (x.empty()) return;
-  std::vector<T> mean = kernels::sum_cols(x);
+  std::size_t k = x.cols();
+  // Serving widths fit the stack buffer: no allocation per projection.
+  constexpr std::size_t kStackCols = 16;
+  T stack_mean[kStackCols] = {};
+  std::vector<T> heap_mean(k > kStackCols ? k : 0);
+  T* mean = k > kStackCols ? heap_mean.data() : stack_mean;
+  sum_cols_into(x, mean);
   // Divide (not multiply by a reciprocal): bitwise-matches the single-column
   // project_out_constant so batched and single solves stay in lockstep.
-  for (T& m : mean) m /= static_cast<T>(x.rows());
-  std::size_t k = x.cols();
+  for (std::size_t c = 0; c < k; ++c) mean[c] /= static_cast<T>(x.rows());
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
   if (mask != nullptr) {
-    parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
-      T* xr = x.row(i);
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mask_active(mask, c)) xr[c] -= mean[c];
-      }
-    }, 0, work);
+    run_elementwise(rowwise_site(), x.rows(), work, 0,
+                    [&](std::size_t s, std::size_t e) {
+                      detail::run_any_width<detail::SubCols<true>>(
+                          k, mean, x.row(s), e - s, mask->data());
+                    });
     return;
   }
   const BlockOps<T>& ops = backend().ops<T>();
   run_elementwise(rowwise_site(), x.rows(), work, 0,
                   [&](std::size_t s, std::size_t e) {
-                    ops.sub_cols(mean.data(), x.row(s), e - s, k);
+                    ops.sub_cols(mean, x.row(s), e - s, k);
                   });
 }
 
@@ -512,19 +540,36 @@ void backsub_steps(const ElimStep* steps, std::size_t nsteps,
 // ---------------------------------------------------------------------------
 // Row gather/scatter
 
+// dst row i = src row index[i] (gather), or dst row index[i] = src row i
+// (scatter), for the n rows of one block.
+template <bool kScatter>
+struct IndexedRowCopy {
+  template <std::size_t K, typename T>
+  PARSDD_ALWAYS_INLINE static void run(std::size_t k, const T* src,
+                                       const std::uint32_t* index, T* dst,
+                                       std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t si = kScatter ? i : index[i];
+      const std::size_t di = kScatter ? index[i] : i;
+      const detail::Lanes<K, const T> s(src + si * k, k);
+      detail::Lanes<K, T> d(dst + di * k, k);
+      for (std::size_t c = 0; c < d.size(); ++c) d[c] = s[c];
+      d.commit();
+    }
+  }
+};
+
 template <typename T>
 void gather_rows(const BasicMultiVec<T>& src, const std::uint32_t* index,
                  BasicMultiVec<T>& dst) {
   assert(src.cols() == dst.cols());
   std::size_t k = dst.cols();
-  parallel_for(
-      gather_site(), 0, dst.rows(),
-      [&](std::size_t i) {
-        const T* s = src.row(index[i]);
-        T* d = dst.row(i);
-        for (std::size_t c = 0; c < k; ++c) d[c] = s[c];
-      },
-      0, static_cast<std::uint64_t>(dst.rows()) * k);
+  run_elementwise(gather_site(), dst.rows(),
+                  static_cast<std::uint64_t>(dst.rows()) * k, 0,
+                  [&](std::size_t s, std::size_t e) {
+                    detail::run_any_width<IndexedRowCopy<false>>(
+                        k, src.data().data(), index + s, dst.row(s), e - s);
+                  });
 }
 
 template <typename T>
@@ -532,14 +577,12 @@ void scatter_rows(const BasicMultiVec<T>& src, const std::uint32_t* index,
                   BasicMultiVec<T>& dst) {
   assert(src.cols() == dst.cols());
   std::size_t k = src.cols();
-  parallel_for(
-      scatter_site(), 0, src.rows(),
-      [&](std::size_t i) {
-        const T* s = src.row(i);
-        T* d = dst.row(index[i]);
-        for (std::size_t c = 0; c < k; ++c) d[c] = s[c];
-      },
-      0, static_cast<std::uint64_t>(src.rows()) * k);
+  run_elementwise(scatter_site(), src.rows(),
+                  static_cast<std::uint64_t>(src.rows()) * k, 0,
+                  [&](std::size_t s, std::size_t e) {
+                    detail::run_any_width<IndexedRowCopy<true>>(
+                        k, src.row(s), index + s, dst.data().data(), e - s);
+                  });
 }
 
 // ---------------------------------------------------------------------------
@@ -588,6 +631,12 @@ void widen(const BasicMultiVec<float>& src, MultiVec& dst) {
                                         const BasicMultiVec<T>&);            \
   template std::vector<T> norm2_cols(const BasicMultiVec<T>&);               \
   template std::vector<T> sum_cols(const BasicMultiVec<T>&);                 \
+  template void dot_cols(const BasicMultiVec<T>&, const BasicMultiVec<T>&,   \
+                         std::vector<T>&);                                   \
+  template void dot_diff_cols(const BasicMultiVec<T>&,                       \
+                              const BasicMultiVec<T>&,                       \
+                              const BasicMultiVec<T>&, std::vector<T>&);     \
+  template void norm2_cols(const BasicMultiVec<T>&, std::vector<T>&);        \
   template void scale_cols(const std::vector<T>&, BasicMultiVec<T>&,         \
                            const ColMask*);                                  \
   template void copy_cols(const BasicMultiVec<T>&, BasicMultiVec<T>&,        \

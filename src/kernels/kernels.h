@@ -159,8 +159,9 @@ double sum(const Vec& x);
 void project_out_constant(Vec& x);
 
 // ---- MultiVec column kernels.  `a` holds one scalar per column.  With a
-//      mask, masked columns are bitwise untouched; the masked path is
-//      scalar — it only runs after columns converge. ----
+//      mask, masked columns are bitwise untouched; the masked path runs
+//      the same compile-time-width loops at the baseline ISA — it only
+//      runs after a column freezes. ----
 /// y[:,c] += a[c] * x[:,c]
 template <typename T>
 void axpy_cols(const std::vector<T>& a, const BasicMultiVec<T>& x,
@@ -184,6 +185,17 @@ std::vector<T> norm2_cols(const BasicMultiVec<T>& x);
 /// Per-column entry sums.
 template <typename T>
 std::vector<T> sum_cols(const BasicMultiVec<T>& x);
+/// Out-parameter forms of the reductions above: `out` is resized to k and
+/// overwritten, so a caller that keeps it across iterations allocates
+/// nothing.  Same bits as the returning forms.
+template <typename T>
+void dot_cols(const BasicMultiVec<T>& x, const BasicMultiVec<T>& y,
+              std::vector<T>& out);
+template <typename T>
+void dot_diff_cols(const BasicMultiVec<T>& z, const BasicMultiVec<T>& x,
+                   const BasicMultiVec<T>& y, std::vector<T>& out);
+template <typename T>
+void norm2_cols(const BasicMultiVec<T>& x, std::vector<T>& out);
 /// x[:,c] *= a[c]
 template <typename T>
 void scale_cols(const std::vector<T>& a, BasicMultiVec<T>& x,

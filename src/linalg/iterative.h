@@ -35,6 +35,10 @@ struct IterStats {
 template <typename T>
 struct BasicBlockScratch {
   BasicMultiVec<T> r, z, p, ap, r_prev;
+  /// Per-column scalars of block CG (one entry per column).
+  std::vector<T> minus_one, bnorm, rnorm, pap, rz, rz_next, num, alpha,
+      neg_alpha, beta;
+  ColMask alive;
 };
 using BlockScratch = BasicBlockScratch<double>;
 

@@ -155,7 +155,9 @@ struct SolverService::Impl {
       PARSDD_EXCLUDES(mu);
   void post_batch(std::shared_ptr<PendingBatch> job) PARSDD_EXCLUDES(mu);
 
-  void execute_single_block(SingleBlockJob& job);
+  /// Solves one coalesced block, then accounts it (finish) and answers its
+  /// requests, in that order.
+  void execute_single_block(SingleBlockJob& job) PARSDD_EXCLUDES(mu);
   void finish(std::size_t count) PARSDD_EXCLUDES(mu);
 
   /// The update() entry point body (handle resolution, tier dispatch,
@@ -575,11 +577,7 @@ SolverService::Impl::take_batch(std::deque<PendingBatch>& batches) {
 
 void SolverService::Impl::post_single_block(
     std::shared_ptr<SingleBlockJob> job) {
-  bool posted = exec->post([this, job] {
-    execute_single_block(*job);
-    maybe_quality_rebuild(job->handle_id, job->setup);
-    finish(job->reqs.size());
-  });
+  bool posted = exec->post([this, job] { execute_single_block(*job); });
   if (!posted) {
     for (PendingSingle& r : job->reqs) {
       r.promise.set_value(UnavailableError("service stopped"));
@@ -592,14 +590,16 @@ void SolverService::Impl::post_batch(std::shared_ptr<PendingBatch> job) {
   bool posted = exec->post([this, job] {
     BatchSolveReport report;
     StatusOr<MultiVec> x = job->setup->solve_batch(job->b, &report);
+    maybe_quality_rebuild(job->handle_id, job->setup);
+    // Account before answering: whoever holds the answer must already see
+    // it in stats() (completed, in_flight_cols).
+    finish(1);
     if (x.ok()) {
       job->promise.set_value(
           BatchSolveResult{std::move(*x), std::move(report)});
     } else {
       job->promise.set_value(x.status());
     }
-    maybe_quality_rebuild(job->handle_id, job->setup);
-    finish(1);
   });
   if (!posted) {
     job->promise.set_value(UnavailableError("service stopped"));
@@ -616,6 +616,10 @@ void SolverService::Impl::execute_single_block(SingleBlockJob& job) {
   }
   BatchSolveReport report;
   StatusOr<MultiVec> x = job.setup->solve_batch(b, &report);
+  maybe_quality_rebuild(job.handle_id, job.setup);
+  // Account before answering: whoever holds an answer must already see it
+  // in stats() (completed, in_flight_cols).
+  finish(k);
   if (!x.ok()) {
     // Cannot happen for requests validated at submit; surface it anyway.
     for (PendingSingle& r : job.reqs) r.promise.set_value(x.status());

@@ -4,13 +4,17 @@
 // The correctness tests compare every layer-2 entry point against a naive
 // serial reference at sizes that are NOT multiples of any vector width
 // (rows = 257, k = 5), so remainder handling in the AVX backends is always
-// exercised.  The contract tests re-execute this binary per PARSDD_SIMD
-// value (the env var is read once per process — same subprocess pattern as
-// test_granularity) and demand that a full default-options chain solve is
+// exercised.  TableKernels.* call every op table the CPU supports directly,
+// at every narrow width (k = 1..7, the compile-time-width path) and past
+// the register boundaries (k = 8, 9, 16).  The contract tests re-execute
+// this binary per PARSDD_SIMD value (the env var is read once per process —
+// same subprocess pattern as test_granularity) and demand that a full
+// default-options chain solve, single and batched (k = 3, 4), is
 // byte-identical across {scalar, avx2, avx512, auto}.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +24,7 @@
 
 #include "file_test_util.h"
 #include "graph/generators.h"
+#include "kernels/backend_detail.h"
 #include "kernels/kernels.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/laplacian.h"
@@ -206,6 +211,289 @@ TEST(ColKernels, ProjectOutConstantZeroesColumnMeans) {
 }
 
 // ---------------------------------------------------------------------------
+// Every supported op table, both element types, every BlockOps kernel and
+// the masked layer-2 variants, against plain per-column reference loops
+// (the IEEE sequence DESIGN.md §9 fixes), compared byte for byte.
+
+const std::size_t kTableWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
+
+std::vector<const kernels::Backend*> supported_tables() {
+  std::vector<const kernels::Backend*> t = {
+      &kernels::detail::scalar_backend()};
+  if (kernels::detail::avx2_supported()) {
+    t.push_back(&kernels::detail::avx2_backend());
+  }
+  if (kernels::detail::avx512_supported()) {
+    t.push_back(&kernels::detail::avx512_backend());
+  }
+  return t;
+}
+
+template <typename T>
+std::vector<T> table_data(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<T>(rng.uniform(i) - 0.5);
+  }
+  return v;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// A ragged CSR over kRows rows: 1-5 nonzeros per row, scattered columns.
+struct TestCsr {
+  std::vector<std::size_t> off{0};
+  std::vector<std::uint32_t> col;
+};
+TestCsr test_csr() {
+  TestCsr m;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j <= i % 5; ++j) {
+      m.col.push_back(static_cast<std::uint32_t>((i * 7 + j * 53) % kRows));
+    }
+    m.off.push_back(m.col.size());
+  }
+  return m;
+}
+
+// Elimination records over kRows vertices: each step eliminates v = s and
+// folds into 0, 1 or 2 later vertices (backsub reads them back).
+std::vector<kernels::ElimStep> test_steps() {
+  std::vector<kernels::ElimStep> steps;
+  Rng rng(99);
+  for (std::uint32_t v = 0; v + 2 < kRows; ++v) {
+    kernels::ElimStep s;
+    s.v = v;
+    s.degree = v % 3;
+    s.u1 = v + 1 + static_cast<std::uint32_t>(rng.uniform(2 * v) * 1.5);
+    s.u2 = s.u1 + 1;
+    if (s.degree >= 1) s.w1 = 0.25 + rng.uniform(2 * v + 1);
+    if (s.degree == 2) s.w2 = 0.5 + rng.uniform(2 * v + 1);
+    s.pivot = s.w1 + s.w2 + (s.degree == 0 ? 1.0 : 0.0);
+    steps.push_back(s);
+  }
+  return steps;
+}
+
+template <typename T>
+void check_table(const kernels::BlockOps<T>& ops, std::size_t k) {
+  const std::size_t n = kRows * k;
+  const std::vector<T> x = table_data<T>(1, n), y0 = table_data<T>(2, n),
+                       z = table_data<T>(3, n), a = table_data<T>(4, k),
+                       acc0 = table_data<T>(5, k);
+
+  auto elementwise = [&](auto&& kernel, auto&& ref) {
+    std::vector<T> got = y0, want = y0;
+    kernel(got);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < k; ++c) ref(want[r * k + c], r * k + c, c);
+    }
+    return same_bytes(got, want);
+  };
+  EXPECT_TRUE(elementwise(
+      [&](std::vector<T>& v) {
+        ops.axpy_cols(a.data(), x.data(), v.data(), kRows, k);
+      },
+      [&](T& v, std::size_t i, std::size_t c) { v += a[c] * x[i]; }))
+      << "axpy_cols";
+  EXPECT_TRUE(elementwise(
+      [&](std::vector<T>& v) {
+        ops.xpay_cols(x.data(), a.data(), v.data(), kRows, k);
+      },
+      [&](T& v, std::size_t i, std::size_t c) { v = x[i] + a[c] * v; }))
+      << "xpay_cols";
+  EXPECT_TRUE(elementwise(
+      [&](std::vector<T>& v) { ops.scale_cols(a.data(), v.data(), kRows, k); },
+      [&](T& v, std::size_t, std::size_t c) { v *= a[c]; }))
+      << "scale_cols";
+  EXPECT_TRUE(elementwise(
+      [&](std::vector<T>& v) { ops.sub_cols(a.data(), v.data(), kRows, k); },
+      [&](T& v, std::size_t, std::size_t c) { v -= a[c]; }))
+      << "sub_cols";
+  EXPECT_TRUE(elementwise(
+      [&](std::vector<T>& v) { ops.copy_cols(x.data(), v.data(), kRows, k); },
+      [&](T& v, std::size_t i, std::size_t) { v = x[i]; }))
+      << "copy_cols";
+
+  auto reduction = [&](auto&& kernel, auto&& term) {
+    std::vector<T> got = acc0, want = acc0;
+    kernel(got.data());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < k; ++c) want[c] += term(r * k + c);
+    }
+    return same_bytes(got, want);
+  };
+  EXPECT_TRUE(reduction(
+      [&](T* acc) { ops.dot_cols_acc(x.data(), y0.data(), kRows, k, acc); },
+      [&](std::size_t i) { return x[i] * y0[i]; }))
+      << "dot_cols_acc";
+  EXPECT_TRUE(reduction(
+      [&](T* acc) {
+        ops.dot_diff_cols_acc(z.data(), x.data(), y0.data(), kRows, k, acc);
+      },
+      [&](std::size_t i) { return z[i] * (x[i] - y0[i]); }))
+      << "dot_diff_cols_acc";
+  EXPECT_TRUE(reduction(
+      [&](T* acc) { ops.sum_cols_acc(x.data(), kRows, k, acc); },
+      [&](std::size_t i) { return x[i]; }))
+      << "sum_cols_acc";
+
+  // SpMM over a row sub-range: rows outside [r0, kRows) keep their bytes.
+  const TestCsr m = test_csr();
+  const std::vector<T> val = table_data<T>(6, m.col.size());
+  const std::size_t r0 = 3;
+  std::vector<T> got = y0, want = y0;
+  ops.spmm_rows(m.off.data(), m.col.data(), val.data(), x.data(), got.data(),
+                r0, kRows, k);
+  for (std::size_t i = r0; i < kRows; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      T acc = T(0);
+      for (std::size_t p = m.off[i]; p < m.off[i + 1]; ++p) {
+        acc += val[p] * x[m.col[p] * k + c];
+      }
+      want[i * k + c] = acc;
+    }
+  }
+  EXPECT_TRUE(same_bytes(got, want)) << "spmm_rows";
+
+  // Fold then back-substitute, in column chunks of 8 as layer 2 runs them,
+  // so k = 9 and 16 also exercise a narrow tail chunk.
+  const std::vector<kernels::ElimStep> steps = test_steps();
+  const std::size_t chunk = 8;
+  std::vector<T> folded = y0, folded_ref = y0;
+  for (std::size_t c0 = 0; c0 < k; c0 += chunk) {
+    ops.fold_cols(steps.data(), steps.size(), folded.data(), k, c0,
+                  std::min(k, c0 + chunk));
+  }
+  for (const kernels::ElimStep& s : steps) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const T fv = folded_ref[s.v * k + c];
+      if (s.degree >= 1) {
+        folded_ref[s.u1 * k + c] += static_cast<T>(s.w1 / s.pivot) * fv;
+      }
+      if (s.degree == 2) {
+        folded_ref[s.u2 * k + c] += static_cast<T>(s.w2 / s.pivot) * fv;
+      }
+    }
+  }
+  EXPECT_TRUE(same_bytes(folded, folded_ref)) << "fold_cols";
+
+  std::vector<T> xs = z, xs_ref = z;
+  for (std::size_t c0 = 0; c0 < k; c0 += chunk) {
+    ops.backsub_cols(steps.data(), steps.size(), folded_ref.data(), xs.data(),
+                     k, c0, std::min(k, c0 + chunk));
+  }
+  for (std::size_t si = steps.size(); si-- > 0;) {
+    const kernels::ElimStep& s = steps[si];
+    const T piv = static_cast<T>(s.pivot);
+    for (std::size_t c = 0; c < k; ++c) {
+      const T fb = folded_ref[s.v * k + c];
+      T& xv = xs_ref[s.v * k + c];
+      if (s.degree == 0) {
+        xv = T(0);
+      } else if (s.degree == 1) {
+        xv = fb / piv + xs_ref[s.u1 * k + c];
+      } else {
+        xv = (fb + static_cast<T>(s.w1) * xs_ref[s.u1 * k + c] +
+              static_cast<T>(s.w2) * xs_ref[s.u2 * k + c]) /
+             piv;
+      }
+    }
+  }
+  EXPECT_TRUE(same_bytes(xs, xs_ref)) << "backsub_cols";
+}
+
+TEST(TableKernels, EveryTableMatchesReferenceAtEveryWidth) {
+  for (const kernels::Backend* be : supported_tables()) {
+    for (std::size_t k : kTableWidths) {
+      SCOPED_TRACE(std::string(be->name) + " k=" + std::to_string(k));
+      {
+        SCOPED_TRACE("f64");
+        check_table<double>(be->f64, k);
+      }
+      {
+        SCOPED_TRACE("f32");
+        check_table<float>(be->f32, k);
+      }
+    }
+  }
+}
+
+// The masked column kernels, the projection and the row gather/scatter are
+// layer-2 code (one implementation, not per table): same widths, both
+// element types, a mask with live and frozen columns.
+template <typename T>
+void check_masked(std::size_t k) {
+  auto block = [&](std::uint64_t seed) {
+    BasicMultiVec<T> m(kRows, k);
+    const std::vector<T> v = table_data<T>(seed, kRows * k);
+    std::copy(v.begin(), v.end(), m.data().begin());
+    return m;
+  };
+  const BasicMultiVec<T> x = block(11), y0 = block(12);
+  const std::vector<T> a = table_data<T>(13, k);
+  ColMask mask(k);
+  for (std::size_t c = 0; c < k; ++c) mask[c] = (c % 3 != 1);
+  std::vector<T> col_sum(k, T(0));
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < k; ++c) col_sum[c] += y0.at(r, c);
+  }
+
+  auto check = [&](const char* what, auto&& kernel, auto&& ref) {
+    BasicMultiVec<T> got = y0;
+    kernel(got);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < k; ++c) {
+        T want = y0.at(r, c);
+        if (mask[c]) ref(want, r, c);
+        ASSERT_EQ(std::memcmp(got.row(r) + c, &want, sizeof(T)), 0)
+            << what << " row " << r << " col " << c;
+      }
+    }
+  };
+  using Block = BasicMultiVec<T>;
+  check("axpy_cols", [&](Block& v) { kernels::axpy_cols(a, x, v, &mask); },
+        [&](T& v, std::size_t r, std::size_t c) { v += a[c] * x.at(r, c); });
+  check("xpay_cols", [&](Block& v) { kernels::xpay_cols(x, a, v, &mask); },
+        [&](T& v, std::size_t r, std::size_t c) { v = x.at(r, c) + a[c] * v; });
+  check("scale_cols", [&](Block& v) { kernels::scale_cols(a, v, &mask); },
+        [&](T& v, std::size_t, std::size_t c) { v *= a[c]; });
+  check("copy_cols", [&](Block& v) { kernels::copy_cols(x, v, &mask); },
+        [&](T& v, std::size_t r, std::size_t c) { v = x.at(r, c); });
+  check("project_out_constant_cols",
+        [&](Block& v) { kernels::project_out_constant_cols(v, &mask); },
+        [&](T& v, std::size_t, std::size_t c) {
+          v -= col_sum[c] / static_cast<T>(kRows);
+        });
+
+  std::vector<std::uint32_t> perm(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    perm[i] = static_cast<std::uint32_t>((i * 131) % kRows);
+  }
+  BasicMultiVec<T> gathered(kRows, k), back(kRows, k);
+  kernels::gather_rows(x, perm.data(), gathered);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(std::memcmp(gathered.row(i), x.row(perm[i]), k * sizeof(T)), 0)
+        << "gather_rows row " << i;
+  }
+  kernels::scatter_rows(gathered, perm.data(), back);
+  EXPECT_EQ(back.data(), x.data()) << "scatter_rows";
+}
+
+TEST(TableKernels, MaskedAndRowKernelsMatchReferenceAtEveryWidth) {
+  for (std::size_t k : kTableWidths) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    check_masked<double>(k);
+    check_masked<float>(k);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Sparse kernels against a naive triple loop.
 
 TEST(SparseKernels, SpmvSpmmMatchNaive) {
@@ -335,12 +623,29 @@ TEST(KernelsChild, SolveAndDump) {
   kernels::project_out_constant(b);
   StatusOr<Vec> x = setup.solve(b);
   ASSERT_TRUE(x.ok()) << x.status().to_string();
+  // The serving widths: batched solves run the narrow-block kernels.
+  std::vector<MultiVec> batches;
+  for (std::size_t k : {3, 4}) {
+    MultiVec bk(g.n, k);
+    for (std::size_t c = 0; c < k; ++c) {
+      Vec col = random_unit_like(g.n, 900 + 10 * k + c);
+      kernels::project_out_constant(col);
+      bk.set_column(c, col);
+    }
+    StatusOr<MultiVec> xk = setup.solve_batch(bk);
+    ASSERT_TRUE(xk.ok()) << xk.status().to_string();
+    batches.push_back(std::move(*xk));
+  }
 
   const char* out = std::getenv("PARSDD_KERNELS_OUT");
   if (!out) return;
   std::FILE* f = std::fopen(out, "wb");
   ASSERT_NE(f, nullptr) << out;
   ASSERT_EQ(std::fwrite(x->data(), sizeof(double), x->size(), f), x->size());
+  for (const MultiVec& xk : batches) {
+    const std::size_t n = xk.data().size();
+    ASSERT_EQ(std::fwrite(xk.data().data(), sizeof(double), n, f), n);
+  }
   std::fclose(f);
 }
 
