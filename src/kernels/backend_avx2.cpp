@@ -4,14 +4,13 @@
 // dispatcher (kernels.cpp) only takes these pointers after
 // __builtin_cpu_supports("avx2") says yes.
 //
-// Bitwise contract: vectors run ACROSS the k independent columns (or the
-// independent indices of an elementwise loop); each lane executes the exact
-// scalar operation sequence with plain mul/add/div — never FMA, never a
-// reassociated horizontal reduction.  Serial-chain kernels (dot_serial,
-// sum_serial, spmv) and plain copies reuse the scalar templates.  Blocks
-// narrower than 8 columns (every serving batch) run the compile-time-width
-// loops of backend_detail.h, inlined here so they compile for AVX2; the
-// intrinsics below handle 8 columns and up.
+// Bitwise contract: vectors run ACROSS the k independent columns; each lane
+// executes the exact scalar operation sequence with plain mul/add/div —
+// never FMA, never a reassociated horizontal reduction.  Plain copies reuse
+// the scalar templates.  Blocks narrower than 8 columns (every serving
+// batch, and every Vec kernel at k = 1) run the compile-time-width loops of
+// backend_detail.h, inlined here so they compile for AVX2; the intrinsics
+// below handle 8 columns and up.
 #include "kernels/backend_detail.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -22,60 +21,6 @@
 
 namespace parsdd::kernels::detail {
 namespace {
-
-// ---- elementwise f64 ----
-
-PARSDD_TARGET_AVX2 void axpy_avx2(double a, const double* x, double* y,
-                                  std::size_t n) {
-  __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d vy = _mm256_loadu_pd(y + i);
-    vy = _mm256_add_pd(vy, _mm256_mul_pd(va, _mm256_loadu_pd(x + i)));
-    _mm256_storeu_pd(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-PARSDD_TARGET_AVX2 void xpay_avx2(const double* x, double a, double* y,
-                                  std::size_t n) {
-  __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d vy = _mm256_mul_pd(va, _mm256_loadu_pd(y + i));
-    vy = _mm256_add_pd(_mm256_loadu_pd(x + i), vy);
-    _mm256_storeu_pd(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] = x[i] + a * y[i];
-}
-
-PARSDD_TARGET_AVX2 void scale_avx2(double a, double* x, std::size_t n) {
-  __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= a;
-}
-
-PARSDD_TARGET_AVX2 void sub_avx2(const double* x, const double* y, double* out,
-                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-PARSDD_TARGET_AVX2 void sub_scalar_avx2(double m, double* x, std::size_t n) {
-  __m256d vm = _mm256_set1_pd(m);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), vm));
-  }
-  for (; i < n; ++i) x[i] -= m;
-}
 
 // ---- column kernels f64 (vector across columns within each row) ----
 
@@ -580,14 +525,6 @@ const Backend& avx2_backend() {
   static const Backend be{
       /*name=*/"avx2",
       /*level=*/SimdLevel::kAvx2,
-      /*axpy_f64=*/&axpy_avx2,
-      /*xpay_f64=*/&xpay_avx2,
-      /*scale_f64=*/&scale_avx2,
-      /*sub_f64=*/&sub_avx2,
-      /*sub_scalar_f64=*/&sub_scalar_avx2,
-      /*dot_serial_f64=*/&dot_serial_t<double>,
-      /*sum_serial_f64=*/&sum_serial_t<double>,
-      /*spmv_rows_f64=*/&spmv_rows_d,
       /*f64=*/{
           /*axpy_cols=*/&axpy_cols_avx2,
           /*xpay_cols=*/&xpay_cols_avx2,

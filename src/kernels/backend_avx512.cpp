@@ -1,11 +1,11 @@
 // AVX-512 backend (avx512f).  Same structure and bitwise contract as the
 // AVX2 backend (see backend_avx2.cpp): function multiversioning via target
 // attributes, vectors across independent columns only, plain mul/add/div
-// (never FMA), serial-chain kernels shared with the scalar templates.
-// 8 f64 lanes / 16 f32 lanes per register — a fold/backsub column chunk
-// (kColChunk = 8) is exactly one f64 register.  Narrower blocks (k <= 7,
-// every serving batch) run the compile-time-width loops of
-// backend_detail.h, inlined here so they compile for AVX-512.
+// (never FMA).  8 f64 lanes / 16 f32 lanes per register — a fold/backsub
+// column chunk (kColChunk = 8) is exactly one f64 register.  Narrower
+// blocks (k <= 7, every serving batch and every Vec kernel) run the
+// compile-time-width loops of backend_detail.h, inlined here so they
+// compile for AVX-512.
 #include "kernels/backend_detail.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -16,61 +16,6 @@
 
 namespace parsdd::kernels::detail {
 namespace {
-
-// ---- elementwise f64 ----
-
-PARSDD_TARGET_AVX512 void axpy_avx512(double a, const double* x, double* y,
-                                      std::size_t n) {
-  __m512d va = _mm512_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d vy = _mm512_loadu_pd(y + i);
-    vy = _mm512_add_pd(vy, _mm512_mul_pd(va, _mm512_loadu_pd(x + i)));
-    _mm512_storeu_pd(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-PARSDD_TARGET_AVX512 void xpay_avx512(const double* x, double a, double* y,
-                                      std::size_t n) {
-  __m512d va = _mm512_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d vy = _mm512_mul_pd(va, _mm512_loadu_pd(y + i));
-    vy = _mm512_add_pd(_mm512_loadu_pd(x + i), vy);
-    _mm512_storeu_pd(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] = x[i] + a * y[i];
-}
-
-PARSDD_TARGET_AVX512 void scale_avx512(double a, double* x, std::size_t n) {
-  __m512d va = _mm512_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(x + i, _mm512_mul_pd(_mm512_loadu_pd(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= a;
-}
-
-PARSDD_TARGET_AVX512 void sub_avx512(const double* x, const double* y,
-                                     double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        out + i, _mm512_sub_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-PARSDD_TARGET_AVX512 void sub_scalar_avx512(double m, double* x,
-                                            std::size_t n) {
-  __m512d vm = _mm512_set1_pd(m);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(x + i, _mm512_sub_pd(_mm512_loadu_pd(x + i), vm));
-  }
-  for (; i < n; ++i) x[i] -= m;
-}
 
 // ---- column kernels f64 ----
 
@@ -507,14 +452,6 @@ const Backend& avx512_backend() {
   static const Backend be{
       /*name=*/"avx512",
       /*level=*/SimdLevel::kAvx512,
-      /*axpy_f64=*/&axpy_avx512,
-      /*xpay_f64=*/&xpay_avx512,
-      /*scale_f64=*/&scale_avx512,
-      /*sub_f64=*/&sub_avx512,
-      /*sub_scalar_f64=*/&sub_scalar_avx512,
-      /*dot_serial_f64=*/&dot_serial_t<double>,
-      /*sum_serial_f64=*/&sum_serial_t<double>,
-      /*spmv_rows_f64=*/&spmv_rows_d,
       /*f64=*/{
           /*axpy_cols=*/&axpy_cols_avx512,
           /*xpay_cols=*/&xpay_cols_avx512,

@@ -1,9 +1,9 @@
 // Internal to src/kernels/: the portable reference implementations (templates
 // over float/double) and the per-ISA backend factories.  The scalar templates
 // define the IEEE operation sequence every vector backend must reproduce
-// bit-for-bit per column; the AVX files call back into them for serial-chain
-// kernels and for every block narrower than a register (k <= 7, see
-// "block kernels" below).
+// bit-for-bit per column; the AVX files call back into them for plain
+// copies and for every block narrower than a register (k <= 7, see
+// "block kernels" below), which includes every Vec kernel (k = 1).
 #pragma once
 
 #include <cstddef>
@@ -13,51 +13,6 @@
 #include "kernels/kernels.h"
 
 namespace parsdd::kernels::detail {
-
-// ---- elementwise over [0, n) ----
-
-template <typename T>
-void axpy_t(T a, const T* x, T* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-template <typename T>
-void xpay_t(const T* x, T a, T* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] + a * y[i];
-}
-
-template <typename T>
-void scale_t(T a, T* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
-}
-
-template <typename T>
-void sub_t(const T* x, const T* y, T* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-template <typename T>
-void sub_scalar_t(T m, T* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] -= m;
-}
-
-// ---- serial-chain reductions (the canonical per-block fold; every backend
-//      uses exactly this chain, starting from +0.0 like the historic
-//      parallel_reduce identity) ----
-
-template <typename T>
-T dot_serial_t(const T* x, const T* y, std::size_t n) {
-  T acc = T(0);
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-template <typename T>
-T sum_serial_t(const T* x, std::size_t n) {
-  T acc = T(0);
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
 
 // ---- block kernels: one loop body per kernel, at a compile-time width ----
 //
@@ -474,19 +429,6 @@ PARSDD_LANE_REDUCTION void sum_cols_acc_t(const T* x, std::size_t rows,
 }
 
 // ---- CSR ----
-
-// Per-row serial accumulation chain: identical in every backend.
-inline void spmv_rows_d(const std::size_t* off, const std::uint32_t* col,
-                        const double* val, const double* x, double* y,
-                        std::size_t r0, std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double acc = 0.0;
-    for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
-      acc += val[p] * x[col[p]];
-    }
-    y[i] = acc;
-  }
-}
 
 template <typename T>
 void spmm_rows_t(const std::size_t* off, const std::uint32_t* col,

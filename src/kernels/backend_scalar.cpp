@@ -10,14 +10,6 @@ const Backend& scalar_backend() {
   static const Backend be{
       /*name=*/"scalar",
       /*level=*/SimdLevel::kScalar,
-      /*axpy_f64=*/&axpy_t<double>,
-      /*xpay_f64=*/&xpay_t<double>,
-      /*scale_f64=*/&scale_t<double>,
-      /*sub_f64=*/&sub_t<double>,
-      /*sub_scalar_f64=*/&sub_scalar_t<double>,
-      /*dot_serial_f64=*/&dot_serial_t<double>,
-      /*sum_serial_f64=*/&sum_serial_t<double>,
-      /*spmv_rows_f64=*/&spmv_rows_d,
       /*f64=*/scalar_block_ops<double>(),
       /*f32=*/scalar_block_ops<float>(),
   };

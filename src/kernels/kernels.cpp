@@ -144,11 +144,17 @@ void reduce_cols_blocks(GranularitySite& site, std::size_t rows,
     accblock(0, rows, out);
     return;
   }
+  // The partials are one flat nb x k buffer, on the stack for serving
+  // shapes, so a reduction over a tall block allocates nothing.
+  constexpr std::size_t kStackPartials = 256;
+  const std::size_t np = nb * k;
+  T stack_partial[kStackPartials] = {};
+  std::vector<T> heap_partial(np > kStackPartials ? np : 0);
+  T* partial = np > kStackPartials ? heap_partial.data() : stack_partial;
   std::size_t g = kDefaultGrain;
-  std::vector<std::vector<T>> partial(nb, std::vector<T>(k, T(0)));
   auto block_fold = [&](std::size_t b) {
     std::size_t s = b * g, e = std::min(rows, s + g);
-    accblock(s, e, partial[b].data());
+    accblock(s, e, partial + b * k);
   };
   if (site.should_parallelize(work)) {
     ThreadPool::instance().run_blocks(nb, block_fold);
@@ -157,7 +163,7 @@ void reduce_cols_blocks(GranularitySite& site, std::size_t rows,
     for (std::size_t b = 0; b < nb; ++b) block_fold(b);
   }
   for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t c = 0; c < k; ++c) out[c] += partial[b][c];
+    for (std::size_t c = 0; c < k; ++c) out[c] += partial[b * k + c];
   }
 }
 
@@ -182,108 +188,81 @@ const Backend& backend() {
 const char* backend_name() { return backend().name; }
 
 // ---------------------------------------------------------------------------
-// Vec BLAS-1
+// Vec BLAS-1: a Vec is an n x 1 block, so each entry point runs the f64
+// table's k = 1 column kernel on the Vec's own storage, over the same
+// canonical blocks and reduction fold as the column entry points.
 
 void axpy(double a, const Vec& x, Vec& y) {
   assert(x.size() == y.size());
-  const Backend& be = backend();
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(vec_site(), x.size(), 0, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.axpy_f64(a, x.data() + s, y.data() + s, e - s);
+                    ops.axpy_cols(&a, x.data() + s, y.data() + s, e - s, 1);
                   });
 }
 
 void xpay(const Vec& x, double a, Vec& y) {
   assert(x.size() == y.size());
-  const Backend& be = backend();
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(vec_site(), x.size(), 0, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.xpay_f64(x.data() + s, a, y.data() + s, e - s);
+                    ops.xpay_cols(x.data() + s, &a, y.data() + s, e - s, 1);
                   });
 }
 
 double dot(const Vec& x, const Vec& y) {
   assert(x.size() == y.size());
-  std::size_t n = x.size();
-  if (n == 0) return 0.0;
-  const Backend& be = backend();
-  GranularitySite& site = vec_reduce_site();
-  std::size_t nb = canonical_blocks(n, 0);
-  if (nb == 1) {
-    parsdd::detail::SeqTimer timer(site, n);
-    return be.dot_serial_f64(x.data(), y.data(), n);
-  }
-  std::vector<double> partial(nb, 0.0);
-  auto block_fold = [&](std::size_t b) {
-    std::size_t s = b * kDefaultGrain, e = std::min(n, s + kDefaultGrain);
-    partial[b] = be.dot_serial_f64(x.data() + s, y.data() + s, e - s);
-  };
-  if (site.should_parallelize(n)) {
-    ThreadPool::instance().run_blocks(nb, block_fold);
-  } else {
-    parsdd::detail::SeqTimer timer(site, n);
-    for (std::size_t b = 0; b < nb; ++b) block_fold(b);
-  }
-  double acc = 0.0;
-  for (std::size_t b = 0; b < nb; ++b) acc += partial[b];
-  return acc;
+  const BlockOps<double>& ops = backend().f64;
+  double out = 0.0;
+  reduce_cols_blocks<double>(
+      vec_reduce_site(), x.size(), 1, &out,
+      [&](std::size_t s, std::size_t e, double* acc) {
+        ops.dot_cols_acc(x.data() + s, y.data() + s, e - s, 1, acc);
+      });
+  return out;
 }
 
 double norm2(const Vec& x) { return std::sqrt(dot(x, x)); }
 
 void scale(double a, Vec& x) {
-  const Backend& be = backend();
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(vec_site(), x.size(), 0, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.scale_f64(a, x.data() + s, e - s);
+                    ops.scale_cols(&a, x.data() + s, e - s, 1);
                   });
 }
 
 Vec subtract(const Vec& x, const Vec& y) {
   assert(x.size() == y.size());
-  Vec out(x.size());
-  const Backend& be = backend();
+  // out = x + (-1) * y: negation is exact, so this is x - y bit for bit.
+  Vec out = y;
+  const double minus_one = -1.0;
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(vec_site(), x.size(), 0, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.sub_f64(x.data() + s, y.data() + s, out.data() + s,
-                               e - s);
+                    ops.xpay_cols(x.data() + s, &minus_one, out.data() + s,
+                                  e - s, 1);
                   });
   return out;
 }
 
 double sum(const Vec& x) {
-  std::size_t n = x.size();
-  if (n == 0) return 0.0;
-  const Backend& be = backend();
-  GranularitySite& site = vec_reduce_site();
-  std::size_t nb = canonical_blocks(n, 0);
-  if (nb == 1) {
-    parsdd::detail::SeqTimer timer(site, n);
-    return be.sum_serial_f64(x.data(), n);
-  }
-  std::vector<double> partial(nb, 0.0);
-  auto block_fold = [&](std::size_t b) {
-    std::size_t s = b * kDefaultGrain, e = std::min(n, s + kDefaultGrain);
-    partial[b] = be.sum_serial_f64(x.data() + s, e - s);
-  };
-  if (site.should_parallelize(n)) {
-    ThreadPool::instance().run_blocks(nb, block_fold);
-  } else {
-    parsdd::detail::SeqTimer timer(site, n);
-    for (std::size_t b = 0; b < nb; ++b) block_fold(b);
-  }
-  double acc = 0.0;
-  for (std::size_t b = 0; b < nb; ++b) acc += partial[b];
-  return acc;
+  const BlockOps<double>& ops = backend().f64;
+  double out = 0.0;
+  reduce_cols_blocks<double>(vec_reduce_site(), x.size(), 1, &out,
+                             [&](std::size_t s, std::size_t e, double* acc) {
+                               ops.sum_cols_acc(x.data() + s, e - s, 1, acc);
+                             });
+  return out;
 }
 
 void project_out_constant(Vec& x) {
   if (x.empty()) return;
   double mean = sum(x) / static_cast<double>(x.size());
-  const Backend& be = backend();
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(vec_site(), x.size(), 0, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.sub_scalar_f64(mean, x.data() + s, e - s);
+                    ops.sub_cols(&mean, x.data() + s, e - s, 1);
                   });
 }
 
@@ -478,10 +457,10 @@ void spmv(const std::size_t* off, const std::uint32_t* col, const double* val,
           std::size_t n, std::size_t nnz, const Vec& x, Vec& y) {
   assert(x.size() == n && y.size() == n);
   static GranularitySite site("csr.spmv", /*init_ns_per_unit=*/2.0);
-  const Backend& be = backend();
+  const BlockOps<double>& ops = backend().f64;
   run_elementwise(site, n, nnz, /*grain=*/512,
                   [&](std::size_t s, std::size_t e) {
-                    be.spmv_rows_f64(off, col, val, x.data(), y.data(), s, e);
+                    ops.spmm_rows(off, col, val, x.data(), y.data(), s, e, 1);
                   });
 }
 

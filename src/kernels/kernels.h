@@ -4,8 +4,8 @@
 // Two layers:
 //
 //   1. kernels::Backend — a table of C function pointers over flat row-major
-//      ranges (BLAS-1 column kernels, CSR SpMV/SpMM with k-dimension
-//      blocking, elimination fold/backsub column chunks), selected once per
+//      ranges (BLAS-1 column kernels, CSR SpMM with k-dimension blocking,
+//      elimination fold/backsub column chunks), selected once per
 //      process from {scalar, avx2, avx512} via cpuid with a
 //      PARSDD_SIMD=scalar|avx2|avx512|auto override.  The backend functions
 //      are SERIAL over their range; parallelism stays in layer 2.
@@ -16,13 +16,12 @@
 //      result) is identical across backends and pool sizes.
 //
 // Bitwise-SIMD contract (DESIGN.md §9): vector backends vectorize only
-// across independent lanes — the k columns of a row-major MultiVec, or the
-// indices of an elementwise Vec loop — never along a serial reduction
-// chain, and never with FMA contraction.  Each column therefore performs
-// the exact IEEE operation sequence of the scalar backend, which is why
-// PARSDD_SIMD=scalar and =avx512 solves are bitwise identical (test_kernels
-// locks this in).  Serial-chain reductions (single-Vec dot/sum, per-row
-// SpMV accumulation) stay scalar in every backend by design.
+// across independent lanes — the k columns of a row-major MultiVec — never
+// along a serial reduction chain, and never with FMA contraction.  Each
+// column therefore performs the exact IEEE operation sequence of the scalar
+// backend, which is why PARSDD_SIMD=scalar and =avx512 solves are bitwise
+// identical (test_kernels locks this in).  A Vec is an n x 1 block: its
+// dot/sum and SpMV run the k = 1 column loops, one serial chain per block.
 //
 // Element types: the MultiVec entry points are generic over T, and the
 // backend keeps one op table per element type (BlockOps<double>,
@@ -94,29 +93,11 @@ struct BlockOps {
                        std::size_t c1);
 };
 
-/// The dispatchable kernel table of one instruction-set tier: the
-/// single-Vec f64 kernels plus one BlockOps table per element type.
+/// The dispatchable kernel table of one instruction-set tier: one BlockOps
+/// table per element type.  Vec kernels are the k = 1 case of the f64 table.
 struct Backend {
   const char* name = "";
   SimdLevel level = SimdLevel::kScalar;
-
-  // ---- elementwise f64 over [0, n) (independent per index) ----
-  void (*axpy_f64)(double a, const double* x, double* y, std::size_t n);
-  void (*xpay_f64)(const double* x, double a, double* y, std::size_t n);
-  void (*scale_f64)(double a, double* x, std::size_t n);
-  void (*sub_f64)(const double* x, const double* y, double* out,
-                  std::size_t n);
-  void (*sub_scalar_f64)(double m, double* x, std::size_t n);  // x[i] -= m
-
-  // ---- serial-chain reductions (scalar in EVERY backend: vectorizing
-  //      would reorder the additions and break bitwise determinism) ----
-  double (*dot_serial_f64)(const double* x, const double* y, std::size_t n);
-  double (*sum_serial_f64)(const double* x, std::size_t n);
-
-  // ---- CSR SpMV over row range [r0, r1) ----
-  void (*spmv_rows_f64)(const std::size_t* off, const std::uint32_t* col,
-                        const double* val, const double* x, double* y,
-                        std::size_t r0, std::size_t r1);
 
   BlockOps<double> f64;
   BlockOps<float> f32;
@@ -148,7 +129,7 @@ const char* backend_name();
 // are the bitwise-deterministic solver path, the float instances carry the
 // mixed-precision preconditioner chain.
 
-// ---- Vec BLAS-1 ----
+// ---- Vec BLAS-1 (the f64 table's k = 1 column kernels) ----
 void axpy(double a, const Vec& x, Vec& y);            // y += a x
 void xpay(const Vec& x, double a, Vec& y);            // y = x + a y
 double dot(const Vec& x, const Vec& y);

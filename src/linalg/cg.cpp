@@ -5,75 +5,6 @@
 
 namespace parsdd {
 
-IterStats conjugate_gradient(const LinOp& a, const Vec& b, Vec& x,
-                             const CgOptions& opts, const LinOp* precond) {
-  std::size_t n = b.size();
-  IterStats stats;
-  Vec r = b;
-  Vec ax(n);
-  a(x, ax);
-  for (std::size_t i = 0; i < n; ++i) r[i] -= ax[i];
-  if (opts.project_constant) kernels::project_out_constant(r);
-
-  double bnorm = kernels::norm2(b);
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    stats.converged = true;
-    return stats;
-  }
-
-  Vec z(n);
-  auto apply_precond = [&](const Vec& in, Vec& out) {
-    if (precond) {
-      (*precond)(in, out);
-      if (opts.project_constant) kernels::project_out_constant(out);
-    } else {
-      out = in;
-    }
-  };
-  apply_precond(r, z);
-  Vec p = z;
-  Vec r_prev;       // used by the flexible beta
-  double rz = kernels::dot(r, z);
-
-  for (std::uint32_t it = 0; it < opts.max_iterations; ++it) {
-    stats.relative_residual = kernels::norm2(r) / bnorm;
-    if (stats.relative_residual <= opts.tolerance) {
-      stats.converged = true;
-      return stats;
-    }
-    ++stats.iterations;
-    a(p, ax);  // ax = A p
-    double pap = kernels::dot(p, ax);
-    if (!(pap > 0.0)) break;  // numerical breakdown (or A not PSD on p)
-    double alpha = rz / pap;
-    kernels::axpy(alpha, p, x);
-    if (opts.flexible) r_prev = r;
-    kernels::axpy(-alpha, ax, r);
-    if (opts.project_constant) kernels::project_out_constant(r);
-    apply_precond(r, z);
-    double beta;
-    double rz_next;
-    if (opts.flexible) {
-      // Polak–Ribière: beta = z·(r - r_prev) / (z_prev·r_prev); tolerant of
-      // a preconditioner that varies between applications.
-      Vec dr = kernels::subtract(r, r_prev);
-      beta = kernels::dot(z, dr) / rz;
-      rz_next = kernels::dot(r, z);
-    } else {
-      rz_next = kernels::dot(r, z);
-      beta = rz_next / rz;
-    }
-    if (!std::isfinite(beta)) break;
-    if (beta < 0.0) beta = 0.0;  // restart direction if PR goes negative
-    rz = rz_next;
-    kernels::xpay(z, beta, p);
-  }
-  stats.relative_residual = kernels::norm2(r) / bnorm;
-  stats.converged = stats.relative_residual <= opts.tolerance;
-  return stats;
-}
-
 template <typename T>
 std::vector<IterStats> block_conjugate_gradient(
     const std::type_identity_t<BasicBlockLinOp<T>>& a,

@@ -24,21 +24,15 @@ struct CgOptions {
   bool flexible = false;
 };
 
-/// Solves A x = b starting from the given x (commonly zero).
-/// `precond`, if non-null, applies an approximation of A⁺.
-IterStats conjugate_gradient(const LinOp& a, const Vec& b, Vec& x,
-                             const CgOptions& opts,
-                             const LinOp* precond = nullptr);
-
-/// Solves A X = B for all columns in lockstep: every iteration streams A
-/// (and the preconditioner chain) once for the whole block, while alpha,
-/// beta, and the convergence test stay per-column, so column c runs the
-/// exact iteration sequence of an independent conjugate_gradient call on
-/// B[:,c].  Columns freeze (no further updates) the moment they converge or
-/// break down; the loop exits when every column is frozen.  Returns one
-/// IterStats per column.  Instantiated for double (the solver path) and
-/// float (the mixed-precision chain's inner solves, whose scalars are float
-/// too).
+/// Solves A X = B, starting from the given X (commonly zero), for all
+/// columns in lockstep: every iteration streams A (and the preconditioner
+/// chain) once for the whole block, while alpha, beta, and the convergence
+/// test stay per-column, so column c runs the exact iteration sequence of a
+/// k = 1 call on B[:,c].  Columns freeze (no further updates) the moment
+/// they converge or break down; the loop exits when every column is frozen.
+/// Returns one IterStats per column.  Instantiated for double (the solver
+/// path) and float (the mixed-precision chain's inner solves, whose scalars
+/// are float too).
 template <typename T>
 std::vector<IterStats> block_conjugate_gradient(
     const std::type_identity_t<BasicBlockLinOp<T>>& a,

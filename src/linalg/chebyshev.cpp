@@ -7,66 +7,6 @@
 
 namespace parsdd {
 
-IterStats chebyshev(const LinOp& a, const Vec& b, Vec& x,
-                    const ChebyshevOptions& opts, const LinOp* precond) {
-  if (!(opts.lambda_max > 0.0) || !(opts.lambda_min > 0.0) ||
-      opts.lambda_min > opts.lambda_max) {
-    throw std::invalid_argument("chebyshev: bad spectral bounds");
-  }
-  std::size_t n = b.size();
-  IterStats stats;
-  double bnorm = kernels::norm2(b);
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    stats.converged = true;
-    return stats;
-  }
-
-  const double theta = 0.5 * (opts.lambda_max + opts.lambda_min);
-  const double delta = 0.5 * (opts.lambda_max - opts.lambda_min);
-
-  Vec r(n), z(n), p(n), ap(n);
-  auto refresh_residual = [&] {
-    a(x, ap);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
-    if (opts.project_constant) kernels::project_out_constant(r);
-  };
-  auto apply_precond = [&](const Vec& in, Vec& out) {
-    if (precond) {
-      (*precond)(in, out);
-      if (opts.project_constant) kernels::project_out_constant(out);
-    } else {
-      out = in;
-    }
-  };
-
-  refresh_residual();
-  double alpha = 0.0, beta = 0.0;
-  for (std::uint32_t it = 0; it < opts.iterations; ++it) {
-    ++stats.iterations;
-    apply_precond(r, z);
-    if (it == 0) {
-      p = z;
-      alpha = 1.0 / theta;
-    } else if (it == 1) {
-      beta = 0.5 * (delta * alpha) * (delta * alpha);
-      alpha = 1.0 / (theta - beta / alpha);
-      kernels::xpay(z, beta, p);
-    } else {
-      beta = (delta * alpha / 2.0) * (delta * alpha / 2.0);
-      alpha = 1.0 / (theta - beta / alpha);
-      kernels::xpay(z, beta, p);
-    }
-    kernels::axpy(alpha, p, x);
-    a(p, ap);
-    kernels::axpy(-alpha, ap, r);
-    if (opts.project_constant) kernels::project_out_constant(r);
-  }
-  stats.relative_residual = kernels::norm2(r) / bnorm;
-  stats.converged = true;  // fixed-iteration method; caller checks residual
-  return stats;
-}
-
 template <typename T>
 std::vector<IterStats> chebyshev_block(
     const std::type_identity_t<BasicBlockLinOp<T>>& a,
@@ -74,7 +14,6 @@ std::vector<IterStats> chebyshev_block(
     const ChebyshevOptions& opts,
     const std::type_identity_t<BasicBlockLinOp<T>>* precond,
     std::type_identity_t<BasicBlockScratch<T>>* scratch) {
-  using Scalars = std::vector<T>;
   if (!(opts.lambda_max > 0.0) || !(opts.lambda_min > 0.0) ||
       opts.lambda_min > opts.lambda_max) {
     throw std::invalid_argument("chebyshev_block: bad spectral bounds");
@@ -92,7 +31,15 @@ std::vector<IterStats> chebyshev_block(
 
   const double theta = 0.5 * (opts.lambda_max + opts.lambda_min);
   const double delta = 0.5 * (opts.lambda_max - opts.lambda_min);
-  const Scalars minus_one(k, T(-1));
+  // The per-column scalars live in the scratch, so a steady-state call
+  // allocates nothing beyond its returned stats.
+  s.minus_one.assign(k, T(-1));
+  std::vector<T>& alpha_all = s.alpha;
+  std::vector<T>& neg_alpha = s.neg_alpha;
+  std::vector<T>& beta_all = s.beta;
+  alpha_all.resize(k);
+  neg_alpha.resize(k);
+  beta_all.resize(k);
 
   auto apply_precond = [&](const BasicMultiVec<T>& in,
                            BasicMultiVec<T>& out) {
@@ -108,13 +55,12 @@ std::vector<IterStats> chebyshev_block(
   // r = b - A x
   a(x, s.ap);
   kernels::copy_cols(b, s.r);
-  kernels::axpy_cols(minus_one, s.ap, s.r);
+  kernels::axpy_cols(s.minus_one, s.ap, s.r);
   if (opts.project_constant) kernels::project_out_constant_cols(s.r);
 
   // The recurrence scalars depend only on the bounds, so the whole block
   // shares one alpha/beta schedule (computed in double, applied in T).
   double alpha = 0.0, beta = 0.0;
-  Scalars alpha_all(k), neg_alpha(k), beta_all(k);
   for (std::uint32_t it = 0; it < opts.iterations; ++it) {
     apply_precond(s.r, s.z);
     if (it == 0) {
@@ -139,11 +85,12 @@ std::vector<IterStats> chebyshev_block(
     if (opts.project_constant) kernels::project_out_constant_cols(s.r);
   }
 
-  Scalars bnorm = kernels::norm2_cols(b);
-  Scalars rnorm = kernels::norm2_cols(s.r);
+  kernels::norm2_cols(b, s.bnorm);
+  kernels::norm2_cols(s.r, s.rnorm);
   for (std::size_t c = 0; c < k; ++c) {
     stats[c].iterations = opts.iterations;
-    stats[c].relative_residual = bnorm[c] > T(0) ? rnorm[c] / bnorm[c] : T(0);
+    stats[c].relative_residual =
+        s.bnorm[c] > T(0) ? s.rnorm[c] / s.bnorm[c] : T(0);
     stats[c].converged = true;  // fixed-iteration method; caller checks
   }
   return stats;

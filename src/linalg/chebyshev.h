@@ -22,18 +22,13 @@ struct ChebyshevOptions {
   bool project_constant = false;
 };
 
-/// Runs `iterations` preconditioned Chebyshev steps on A x = b, updating x.
-/// If `precond` is null the identity is used.
-IterStats chebyshev(const LinOp& a, const Vec& b, Vec& x,
-                    const ChebyshevOptions& opts,
-                    const LinOp* precond = nullptr);
-
-/// Block Chebyshev over k columns.  The recurrence scalars depend only on
-/// the spectral bounds, so all columns share them and every step is one SpMM
-/// plus one block preconditioner application; column c reproduces a single
-/// chebyshev() run on B[:,c] exactly (columns with a zero RHS stay at their
-/// initial value, which callers set to zero).  Instantiated for double and
-/// float; the scalars are computed in double and rounded to T.
+/// Runs `iterations` preconditioned Chebyshev steps on A X = B for k
+/// columns, updating X; a null `precond` is the identity.  The recurrence
+/// scalars depend only on the spectral bounds, so all columns share them and
+/// every step is one SpMM plus one block preconditioner application; column
+/// c reproduces a k = 1 run on B[:,c] exactly (columns with a zero RHS stay
+/// at their initial value, which callers set to zero).  Instantiated for
+/// double and float; the scalars are computed in double and rounded to T.
 template <typename T>
 std::vector<IterStats> chebyshev_block(
     const std::type_identity_t<BasicBlockLinOp<T>>& a,

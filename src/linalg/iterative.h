@@ -35,7 +35,8 @@ struct IterStats {
 template <typename T>
 struct BasicBlockScratch {
   BasicMultiVec<T> r, z, p, ap, r_prev;
-  /// Per-column scalars of block CG (one entry per column).
+  /// Per-column scalars of block CG and block Chebyshev (one entry per
+  /// column).
   std::vector<T> minus_one, bnorm, rnorm, pap, rz, rz_next, num, alpha,
       neg_alpha, beta;
   ColMask alive;

@@ -1,54 +1,10 @@
 #include "linalg/jacobi.h"
-#include "kernels/kernels.h"
 
 #include <stdexcept>
 
 #include "parallel/primitives.h"
 
 namespace parsdd {
-
-IterStats jacobi(const CsrMatrix& a, const Vec& b, Vec& x,
-                 const JacobiOptions& opts) {
-  std::uint32_t n = a.dimension();
-  Vec d = a.diagonal();
-  for (double v : d) {
-    if (!(v > 0.0)) throw std::domain_error("jacobi: non-positive diagonal");
-  }
-  IterStats stats;
-  double bnorm = kernels::norm2(b);
-  if (bnorm == 0.0) {
-    x.assign(n, 0.0);
-    stats.converged = true;
-    return stats;
-  }
-  Vec r(n), ax(n);
-  for (std::uint32_t it = 0; it < opts.max_iterations; ++it) {
-    a.multiply(x, ax);
-    parallel_for(0, n, [&](std::size_t i) { r[i] = b[i] - ax[i]; });
-    if (opts.project_constant) kernels::project_out_constant(r);
-    stats.relative_residual = kernels::norm2(r) / bnorm;
-    if (stats.relative_residual <= opts.tolerance) {
-      stats.converged = true;
-      return stats;
-    }
-    ++stats.iterations;
-    parallel_for(0, n,
-                 [&](std::size_t i) { x[i] += opts.damping * r[i] / d[i]; });
-  }
-  stats.converged = false;
-  return stats;
-}
-
-LinOp jacobi_preconditioner(const CsrMatrix& a) {
-  Vec d = a.diagonal();
-  for (double& v : d) {
-    if (!(v > 0.0)) throw std::domain_error("jacobi: non-positive diagonal");
-  }
-  return [d](const Vec& in, Vec& out) {
-    out.resize(in.size());
-    parallel_for(0, in.size(), [&](std::size_t i) { out[i] = in[i] / d[i]; });
-  };
-}
 
 BlockLinOp jacobi_preconditioner_block(const CsrMatrix& a) {
   Vec d = a.diagonal();

@@ -1,4 +1,5 @@
-// Damped Jacobi iteration — the simplest classical baseline (E8 bench).
+// The Jacobi (diagonal) preconditioner — the simplest classical baseline
+// preconditioner (Jacobi-PCG, E8 bench).
 #pragma once
 
 #include "linalg/csr_matrix.h"
@@ -6,21 +7,8 @@
 
 namespace parsdd {
 
-struct JacobiOptions {
-  double damping = 2.0 / 3.0;  // classical smoothing factor
-  double tolerance = 1e-8;
-  std::uint32_t max_iterations = 100000;
-  bool project_constant = false;
-};
-
-/// Damped Jacobi on A x = b (A's diagonal must be positive).
-IterStats jacobi(const CsrMatrix& a, const Vec& b, Vec& x,
-                 const JacobiOptions& opts);
-
-/// Returns the diagonal (Jacobi) preconditioner of A as a LinOp.
-LinOp jacobi_preconditioner(const CsrMatrix& a);
-
-/// Block form: scales every column of the block by the inverse diagonal.
+/// The diagonal (Jacobi) preconditioner of A: scales every column of the
+/// block by the inverse diagonal (A's diagonal must be positive).
 BlockLinOp jacobi_preconditioner_block(const CsrMatrix& a);
 
 }  // namespace parsdd

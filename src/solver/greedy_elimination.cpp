@@ -176,40 +176,6 @@ GreedyEliminationResult greedy_eliminate(std::uint32_t n,
   return out;
 }
 
-Vec GreedyEliminationResult::fold_rhs(const Vec& b, Vec* reduced_rhs) const {
-  Vec folded = b;
-  for (const EliminationStep& s : steps) {
-    if (s.degree >= 1) folded[s.u1] += (s.w1 / s.pivot) * folded[s.v];
-    if (s.degree == 2) folded[s.u2] += (s.w2 / s.pivot) * folded[s.v];
-  }
-  if (reduced_rhs) {
-    reduced_rhs->resize(reduced_n);
-    for (std::uint32_t i = 0; i < reduced_n; ++i) {
-      (*reduced_rhs)[i] = folded[orig_of_reduced[i]];
-    }
-  }
-  return folded;
-}
-
-Vec GreedyEliminationResult::back_substitute(const Vec& folded_b,
-                                             const Vec& x_reduced) const {
-  Vec x(folded_b.size(), 0.0);
-  for (std::uint32_t i = 0; i < reduced_n; ++i) {
-    x[orig_of_reduced[i]] = x_reduced[i];
-  }
-  for (std::size_t k = steps.size(); k-- > 0;) {
-    const EliminationStep& s = steps[k];
-    if (s.degree == 0) {
-      x[s.v] = 0.0;  // isolated vertex: grounded
-    } else if (s.degree == 1) {
-      x[s.v] = folded_b[s.v] / s.pivot + x[s.u1];
-    } else {
-      x[s.v] = (folded_b[s.v] + s.w1 * x[s.u1] + s.w2 * x[s.u2]) / s.pivot;
-    }
-  }
-  return x;
-}
-
 template <typename T>
 void GreedyEliminationResult::fold_rhs_block(
     const BasicMultiVec<T>& b, BasicMultiVec<T>& folded,
@@ -297,9 +263,9 @@ GreedyEliminationResult GreedyEliminationResult::load(serialize::Reader& r,
       e.reduced_of_orig.empty()) {
     return e;
   }
-  // Every stored index feeds unchecked array accesses in fold_rhs /
-  // back_substitute; validate all of them against the caller's n before the
-  // result can reach a solve.
+  // Every stored index feeds unchecked array accesses in fold_rhs_block /
+  // back_substitute_block; validate all of them against the caller's n
+  // before the result can reach a solve.
   bool ok = e.reduced_n <= n && e.orig_of_reduced.size() == e.reduced_n &&
             e.reduced_of_orig.size() == n;
   for (std::size_t i = 0; ok && i < e.steps.size(); ++i) {

@@ -27,7 +27,6 @@
 #include "graph/edge_list.h"
 #include "kernels/kernels.h"
 #include "linalg/multivec.h"
-#include "linalg/vector_ops.h"
 
 namespace parsdd {
 
@@ -51,26 +50,21 @@ class GreedyEliminationResult {
   /// original id -> reduced id (UINT32_MAX if eliminated).
   std::vector<std::uint32_t> reduced_of_orig;
 
-  /// Folds an original-space RHS through the eliminations; returns the
-  /// full-length folded vector (needed again by back_substitute) and writes
-  /// the reduced-space RHS to `reduced_rhs`.
-  Vec fold_rhs(const Vec& b, Vec* reduced_rhs) const;
-
-  /// Reconstructs the full solution from the reduced solve and the folded
-  /// RHS returned by fold_rhs.
-  Vec back_substitute(const Vec& folded_b, const Vec& x_reduced) const;
-
-  /// Batched fold: one walk of the elimination record serves all columns of
-  /// `b` (the step decode is amortized and the per-step update vectorizes
-  /// over the row).  Column c matches fold_rhs(b[:,c]) exactly.  Output
-  /// blocks are resized in place so steady-state calls do not allocate.
-  /// Instantiated for double and float (the mixed-precision chain).
+  /// Folds an original-space RHS block through the eliminations: `folded`
+  /// receives the full-height folded block (needed again by
+  /// back_substitute_block) and `reduced_rhs` the reduced-space RHS.  One
+  /// walk of the elimination record serves all columns of `b` (the step
+  /// decode is amortized and the per-step update vectorizes over the row);
+  /// column c matches a k = 1 fold of b[:,c] exactly.  Output blocks are
+  /// resized in place so steady-state calls do not allocate.  Instantiated
+  /// for double and float (the mixed-precision chain).
   template <typename T>
   void fold_rhs_block(const BasicMultiVec<T>& b, BasicMultiVec<T>& folded,
                       BasicMultiVec<T>& reduced_rhs) const;
 
-  /// Batched back-substitution; column c matches back_substitute on that
-  /// column.
+  /// Reconstructs the full solution block from the reduced solve and the
+  /// folded block returned by fold_rhs_block; column c matches a k = 1
+  /// back-substitution of that column.
   template <typename T>
   void back_substitute_block(const BasicMultiVec<T>& folded_b,
                              const BasicMultiVec<T>& x_reduced,

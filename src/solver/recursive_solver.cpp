@@ -1,7 +1,9 @@
 #include "solver/recursive_solver.h"
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/cg.h"
 #include "linalg/chebyshev.h"
@@ -14,24 +16,28 @@ RecursiveSolver::RecursiveSolver(const SolverChain& chain,
     : chain_(chain), opts_(opts) {
   if (opts_.inner != InnerMethod::kChebyshev) return;
   // Measure λmax(B_i⁺ A_i) per level, deepest first, so each level's power
-  // iteration runs with the deeper levels' bounds already in place.
+  // iteration runs with the deeper levels' bounds already in place.  The
+  // iterate is a one-column block through the same recursion as a solve.
   level_bounds_.assign(chain_.levels.size(), {0.0, 0.0});
+  Workspace ws = make_workspace();
   for (std::size_t i = chain_.levels.size(); i-- > 0;) {
     const ChainLevel& lvl = chain_.levels[i];
     if (!lvl.has_preconditioner) continue;
-    Vec y = random_unit_like(lvl.n, opts_.seed + i);
-    Vec ay(lvl.n), z(lvl.n);
+    MultiVec y =
+        MultiVec::from_columns({random_unit_like(lvl.n, opts_.seed + i)});
+    MultiVec ay(lvl.n, 1), z;
     double lmax = 1.0;
     for (std::uint32_t it = 0; it < opts_.power_iterations; ++it) {
       lvl.laplacian.multiply(y, ay);
-      apply_preconditioner(i, ay, z);
-      double nrm = kernels::norm2(z);
+      apply_preconditioner_block<double>(i, ay, z, ws);
+      // A one-column block's storage is the column itself.
+      double nrm = kernels::norm2(z.data());
       if (!(nrm > 0.0)) break;
-      kernels::scale(1.0 / nrm, z);
-      y.swap(z);
+      kernels::scale(1.0 / nrm, z.data());
+      std::swap(y, z);
       lvl.laplacian.multiply(y, ay);
-      double num = kernels::dot(y, ay);
-      double den = laplacian_quadratic_form(lvl.b_edges, y);
+      double num = kernels::dot(y.data(), ay.data());
+      double den = laplacian_quadratic_form(lvl.b_edges, y.data());
       if (den > 0.0) lmax = std::max(lmax, num / den);
     }
     double upper = lmax * opts_.lambda_max_margin;
@@ -44,66 +50,6 @@ std::uint32_t RecursiveSolver::level_iterations(std::size_t i) const {
   if (opts_.inner_iterations > 0) return opts_.inner_iterations;
   double k = std::min(std::max(chain_.levels[i].kappa, 1.0), opts_.kappa_cap);
   return static_cast<std::uint32_t>(std::ceil(std::sqrt(k)));
-}
-
-void RecursiveSolver::apply_preconditioner(std::size_t i, const Vec& r,
-                                           Vec& z) const {
-  const ChainLevel& lvl = chain_.levels[i];
-  Vec reduced_rhs;
-  Vec folded = lvl.elimination.fold_rhs(r, &reduced_rhs);
-  Vec x_reduced(lvl.elimination.reduced_n, 0.0);
-  if (lvl.elimination.reduced_n > 0) {
-    apply_level(i + 1, reduced_rhs, x_reduced);
-  }
-  z = lvl.elimination.back_substitute(folded, x_reduced);
-  kernels::project_out_constant(z);
-}
-
-void RecursiveSolver::apply_level(std::size_t i, const Vec& b, Vec& x) const {
-  const ChainLevel& lvl = chain_.levels[i];
-  x.assign(lvl.n, 0.0);
-  if (!lvl.has_preconditioner) {
-    // Bottom level: dense solve (or trivial for degenerate sizes).
-    bottom_visits_.fetch_add(1, std::memory_order_relaxed);
-    if (chain_.bottom) {
-      Vec rhs = b;
-      kernels::project_out_constant(rhs);
-      x = chain_.bottom->solve(rhs);
-    }
-    return;
-  }
-
-  LinOp a_op = [&lvl](const Vec& in, Vec& out) {
-    out.resize(in.size());
-    lvl.laplacian.multiply(in, out);
-  };
-  LinOp precond = [this, i](const Vec& in, Vec& out) {
-    apply_preconditioner(i, in, out);
-  };
-
-  std::uint32_t iters = level_iterations(i);
-
-  if (opts_.inner == InnerMethod::kChebyshev) {
-    ChebyshevOptions copts;
-    copts.lambda_min = level_bounds_[i].first;
-    copts.lambda_max = level_bounds_[i].second;
-    // During bounds estimation the level's own bounds are still unset; run
-    // with wide provisional bounds (overestimating λmax is safe).
-    if (!(copts.lambda_max > 0.0)) {
-      copts.lambda_min = 1.0 / std::max(lvl.kappa, 2.0);
-      copts.lambda_max = 8.0;
-    }
-    copts.iterations = iters;
-    copts.project_constant = true;
-    chebyshev(a_op, b, x, copts, &precond);
-  } else {
-    CgOptions copts;
-    copts.tolerance = opts_.inner_tolerance;
-    copts.max_iterations = opts_.inner_max_iterations;
-    copts.project_constant = true;
-    copts.flexible = true;
-    conjugate_gradient(a_op, b, x, copts, &precond);
-  }
 }
 
 template <typename T>
@@ -237,7 +183,9 @@ std::vector<IterStats> RecursiveSolver::solve_batch(
     ensure_shape(out, in.rows(), in.cols());
     amat.multiply(in, out);
   };
-  // As in solve(): precondition with the B₁ solve directly when available.
+  // Precondition the top-level Krylov method with the *B₁ solve* directly
+  // (fold through the elimination, recursively solve A₂, back-substitute);
+  // apply_block (level 0) would re-iterate on A₁ redundantly.
   // In mixed-precision mode the chain application runs in fp32 (narrowed on
   // entry, widened on exit); the outer flexible CG below stays fp64 and
   // iteratively refines, so the convergence test is still the fp64 residual.
@@ -330,83 +278,6 @@ std::vector<IterStats> RecursiveSolver::solve_rpch_batch(
     stats[c].relative_residual = rnorm[c] / bnorm[c];
     stats[c].converged = stats[c].relative_residual <= tolerance;
   }
-  return stats;
-}
-
-void RecursiveSolver::apply(const Vec& b, Vec& x) const {
-  apply_level(0, b, x);
-}
-
-IterStats RecursiveSolver::solve(const Vec& b, Vec& x, double tolerance,
-                                 std::uint32_t max_iterations) const {
-  const ChainLevel& top = chain_.levels.front();
-  LinOp a_op = [&top](const Vec& in, Vec& out) {
-    out.resize(in.size());
-    top.laplacian.multiply(in, out);
-  };
-  // Precondition the top-level Krylov method with the *B₁ solve* directly
-  // (fold through the elimination, recursively solve A₂, back-substitute);
-  // apply_level(0) would re-iterate on A₁ redundantly.
-  LinOp precond;
-  if (top.has_preconditioner) {
-    precond = [this](const Vec& in, Vec& out) {
-      apply_preconditioner(0, in, out);
-    };
-  } else {
-    precond = [this](const Vec& in, Vec& out) { apply(in, out); };
-  }
-  CgOptions copts;
-  copts.tolerance = tolerance;
-  copts.max_iterations = max_iterations;
-  copts.project_constant = true;
-  copts.flexible = true;
-  if (x.size() != top.n) x.assign(top.n, 0.0);
-  if (chain_.levels.size() == 1) {
-    // Degenerate chain: the "preconditioner" is already a direct solve.
-    apply(b, x);
-    Vec r(top.n);
-    a_op(x, r);
-    for (std::size_t k = 0; k < r.size(); ++k) r[k] = b[k] - r[k];
-    kernels::project_out_constant(r);
-    IterStats st;
-    st.iterations = 1;
-    double bn = kernels::norm2(b);
-    st.relative_residual = bn > 0 ? kernels::norm2(r) / bn : 0.0;
-    st.converged = st.relative_residual <= tolerance;
-    if (st.converged) return st;
-  }
-  return conjugate_gradient(a_op, b, x, copts, &precond);
-}
-
-IterStats RecursiveSolver::solve_rpch(const Vec& b, Vec& x, double tolerance,
-                                      std::uint32_t max_passes) const {
-  const ChainLevel& top = chain_.levels.front();
-  if (x.size() != top.n) x.assign(top.n, 0.0);
-  IterStats stats;
-  double bnorm = kernels::norm2(b);
-  if (bnorm == 0.0) {
-    stats.converged = true;
-    return stats;
-  }
-  Vec r = b, ax(top.n), dx;
-  for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-    top.laplacian.multiply(x, ax);
-    for (std::size_t k = 0; k < r.size(); ++k) r[k] = b[k] - ax[k];
-    kernels::project_out_constant(r);
-    stats.relative_residual = kernels::norm2(r) / bnorm;
-    if (stats.relative_residual <= tolerance) {
-      stats.converged = true;
-      return stats;
-    }
-    ++stats.iterations;
-    apply(r, dx);
-    kernels::axpy(1.0, dx, x);
-  }
-  top.laplacian.multiply(x, ax);
-  for (std::size_t k = 0; k < r.size(); ++k) r[k] = b[k] - ax[k];
-  kernels::project_out_constant(r);
-  stats.relative_residual = kernels::norm2(r) / bnorm;
-  stats.converged = stats.relative_residual <= tolerance;
   return stats;
 }
 

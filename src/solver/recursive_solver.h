@@ -8,20 +8,21 @@
 // polynomial preconditioner.  A flexible-CG inner mode is provided as the
 // floating-point-robust alternative (see DESIGN.md).
 //
-// Two top-level drivers:
-//   * solve():      top-level flexible PCG to tolerance ε (production).
-//   * solve_rpch(): pure recursive Chebyshev — iterative refinement with the
-//                   one-pass chain operator, O(log 1/ε) passes, matching
-//                   Theorem 1.1's log(1/ε) dependence.
-// Each has a batched form (solve_batch / solve_rpch_batch) over a MultiVec.
+// Two top-level drivers, both over a MultiVec block of right-hand sides:
+//   * solve_batch():      top-level flexible PCG to tolerance ε (production).
+//   * solve_rpch_batch(): pure recursive Chebyshev — iterative refinement
+//                         with the one-pass chain operator, O(log 1/ε)
+//                         passes, matching Theorem 1.1's log(1/ε) dependence.
+// A single right-hand side is solved as a one-column block.  Contract:
+// column c of a k-column batch is bitwise equal to the k = 1 solve of that
+// column (test_batch_solve).
 //
-// The batched recursion is written once, generic over the element type:
-// the default path instantiates it at double, and the opt-in mixed-precision
+// The recursion is written once, generic over the element type: the
+// default path instantiates it at double, and the opt-in mixed-precision
 // chain (enable_f32) runs the same fold / inner-solve / back-substitute code
 // at float.  Only two things depend on the precision: the per-level float
 // mirror of the CSR values, and the fp64 dense bottom solve with its
-// widen/narrow.  The single-Vec apply/solve path is the fp64 reference
-// implementation the batched path is tested against.
+// widen/narrow.
 #pragma once
 
 #include <atomic>
@@ -82,7 +83,7 @@ class RecursiveSolver {
                   std::vector<std::pair<double, double>> bounds)
       : chain_(chain), opts_(opts), level_bounds_(std::move(bounds)) {}
 
-  /// Per-call scratch for the batched solvers: one slot per chain level,
+  /// Per-call scratch for the solvers: one slot per chain level,
   /// reused across outer iterations so a steady-state solve allocates
   /// nothing inside the recursion.  The solver itself is immutable after
   /// construction; each concurrent solve owns a private Workspace, which is
@@ -129,29 +130,15 @@ class RecursiveSolver {
   void enable_f32();
   bool f32_enabled() const { return f32_; }
 
-  /// One pass of the chain: x ≈ A₁⁺ b (constant-factor error reduction).
-  /// Usable directly as a preconditioner LinOp.
-  void apply(const Vec& b, Vec& x) const;
-
-  /// Top-level flexible PCG preconditioned by apply(), to tolerance.
-  IterStats solve(const Vec& b, Vec& x, double tolerance,
-                  std::uint32_t max_iterations) const;
-
-  /// Pure rPCh: iterative refinement with the chain operator until the
-  /// relative residual reaches `tolerance` (or max_passes).
-  IterStats solve_rpch(const Vec& b, Vec& x, double tolerance,
-                       std::uint32_t max_passes) const;
-
-  /// Batched one-pass chain application over all columns of b.
+  /// One pass of the chain over all columns of b: x ≈ A₁⁺ b
+  /// (constant-factor error reduction).
   void apply_block(const MultiVec& b, MultiVec& x, Workspace& ws) const;
 
-  /// Batched top-level flexible PCG: all columns advance in lockstep, each
-  /// SpMM / elimination fold / bottom solve is shared by the whole block,
-  /// and per-column convergence freezes finished columns.  Column c of x
-  /// reproduces solve() on b[:,c] exactly; per-column IterStats may differ
-  /// cosmetically on degenerate single-level chains (the direct-solve path
-  /// counts its pass as 1 iteration, the batch counts 0).  Thread-safe
-  /// given a private workspace.
+  /// Top-level flexible PCG preconditioned by the chain: all columns
+  /// advance in lockstep, each SpMM / elimination fold / bottom solve is
+  /// shared by the whole block, and per-column convergence freezes finished
+  /// columns.  Column c of x is bitwise equal to the k = 1 solve of b[:,c].
+  /// Thread-safe given a private workspace.
   ///
   /// `a_top` overrides the outer-CG operator (default: the chain's own
   /// level-0 Laplacian).  This is the stale-chain update tier
@@ -166,8 +153,10 @@ class RecursiveSolver {
                                      Workspace& ws,
                                      const CsrMatrix* a_top = nullptr) const;
 
-  /// Batched rPCh refinement (solve_rpch over a block).  `a_top` as in
-  /// solve_batch: residual refreshes use it, the chain pass stays as built.
+  /// Pure rPCh: iterative refinement with the chain operator until each
+  /// column's relative residual reaches `tolerance` (or max_passes).
+  /// `a_top` as in solve_batch: residual refreshes use it, the chain pass
+  /// stays as built.
   std::vector<IterStats> solve_rpch_batch(const MultiVec& b, MultiVec& x,
                                           double tolerance,
                                           std::uint32_t max_passes,
@@ -191,10 +180,8 @@ class RecursiveSolver {
   }
 
  private:
-  void apply_level(std::size_t i, const Vec& b, Vec& x) const;
-  void apply_preconditioner(std::size_t i, const Vec& r, Vec& z) const;
-  // The batched recursion, generic over the chain's element type: double
-  // for the default path, float for the mixed-precision chain.
+  // The recursion, generic over the chain's element type: double for the
+  // default path, float for the mixed-precision chain.
   template <typename T>
   void apply_level_block(std::size_t i, const BasicMultiVec<T>& b,
                          BasicMultiVec<T>& x, Workspace& ws) const;

@@ -17,18 +17,20 @@ namespace {
 // reduced system; returns the relative residual.
 double eliminate_and_solve(std::uint32_t n, const EdgeList& edges,
                            const Vec& b, const GreedyEliminationResult& ge) {
-  Vec reduced_rhs;
-  Vec folded = ge.fold_rhs(b, &reduced_rhs);
-  Vec x_red(ge.reduced_n, 0.0);
+  MultiVec folded, reduced_rhs;
+  ge.fold_rhs_block(MultiVec::from_columns({b}), folded, reduced_rhs);
+  MultiVec x_red(ge.reduced_n, 1, 0.0);
   if (ge.reduced_n >= 2) {
     CsrMatrix rlap = laplacian_from_edges(ge.reduced_n, ge.reduced_edges);
     DenseLdlt f = DenseLdlt::factor_laplacian(rlap);
-    kernels::project_out_constant(reduced_rhs);
-    x_red = f.solve(reduced_rhs);
+    kernels::project_out_constant_cols(reduced_rhs);
+    f.solve_block(reduced_rhs, x_red);
   }
-  Vec x = ge.back_substitute(folded, x_red);
+  MultiVec x;
+  ge.back_substitute_block(folded, x_red, x);
   CsrMatrix lap = laplacian_from_edges(n, edges);
-  return kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b);
+  return kernels::norm2(kernels::subtract(lap.apply(x.column(0)), b)) /
+         kernels::norm2(b);
 }
 
 TEST(GreedyElimination, TreeEliminatesCompletely) {
@@ -142,13 +144,13 @@ TEST(GreedyElimination, IsolatedVerticesEliminatedAsDegreeZero) {
   EdgeList e = {{0, 1, 1.0}};
   GreedyEliminationResult ge = greedy_eliminate(4, e);
   EXPECT_EQ(ge.reduced_n, 0u);
-  Vec b = {1.0, -1.0, 0.0, 0.0};
-  Vec reduced;
-  Vec folded = ge.fold_rhs(b, &reduced);
-  Vec x = ge.back_substitute(folded, {});
-  EXPECT_NEAR(x[0] - x[1], 1.0, 1e-12);  // L x = b on the edge component
-  EXPECT_DOUBLE_EQ(x[2], 0.0);
-  EXPECT_DOUBLE_EQ(x[3], 0.0);
+  MultiVec b = MultiVec::from_columns({{1.0, -1.0, 0.0, 0.0}});
+  MultiVec folded, reduced, x;
+  ge.fold_rhs_block(b, folded, reduced);
+  ge.back_substitute_block(folded, MultiVec(0, 1), x);
+  EXPECT_NEAR(x.at(0, 0) - x.at(1, 0), 1.0, 1e-12);  // L x = b on the edge
+  EXPECT_DOUBLE_EQ(x.at(2, 0), 0.0);
+  EXPECT_DOUBLE_EQ(x.at(3, 0), 0.0);
 }
 
 }  // namespace

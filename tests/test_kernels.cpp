@@ -6,7 +6,8 @@
 // (rows = 257, k = 5), so remainder handling in the AVX backends is always
 // exercised.  TableKernels.* call every op table the CPU supports directly,
 // at every narrow width (k = 1..7, the compile-time-width path) and past
-// the register boundaries (k = 8, 9, 16).  The contract tests re-execute
+// the register boundaries (k = 8, 9, 16), and run the Vec entry points (the
+// tables' k = 1 kernels) once per table.  The contract tests re-execute
 // this binary per PARSDD_SIMD value (the env var is read once per process —
 // same subprocess pattern as test_granularity) and demand that a full
 // default-options chain solve, single and batched (k = 3, 4), is
@@ -28,6 +29,7 @@
 #include "kernels/kernels.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/laplacian.h"
+#include "parallel/granularity.h"
 #include "parallel/rng.h"
 #include "solver/solver_setup.h"
 
@@ -69,7 +71,7 @@ TEST(BackendSelection, NameMatchesTableAndLevel) {
   }
   // Every function pointer is populated: a partially filled table would
   // crash deep inside a solve instead of here.
-  EXPECT_NE(b.axpy_f64, nullptr);
+  EXPECT_NE(b.f64.axpy_cols, nullptr);
   EXPECT_NE(b.f64.spmm_rows, nullptr);
   EXPECT_NE(b.f32.backsub_cols, nullptr);
   // ops<T>() hands the generic entry points the table for their type.
@@ -688,6 +690,116 @@ TEST(Kernels, BackendsBitwiseIdentical) {
         << " diverged bitwise from PARSDD_SIMD=scalar";
   }
   for (const std::string& p : paths) std::remove(p.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The Vec entry points are the f64 table's k = 1 column kernels.  Checked
+// byte for byte against plain loops on every supported table, at a single
+// entry, an odd length, and a length spanning three canonical blocks (where
+// dot/sum fold per-block partials in block order).  The table is fixed per
+// process, so the parent test re-runs this binary once per table.
+
+const std::size_t kVecLengths[] = {1, kRows, 2 * kDefaultGrain + 3};
+
+// The canonical reduction: a serial chain per kDefaultGrain block, the
+// block partials folded in index order.
+template <typename Term>
+double blocked_sum(std::size_t n, Term&& term) {
+  double acc = 0.0;
+  for (std::size_t s = 0; s < n; s += kDefaultGrain) {
+    double part = 0.0;
+    for (std::size_t i = s; i < std::min(n, s + kDefaultGrain); ++i) {
+      part += term(i);
+    }
+    acc += part;
+  }
+  return acc;
+}
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(VecKernelsChild, MatchPlainLoops) {
+  const char* want = std::getenv("PARSDD_VEC_TABLE");
+  if (want != nullptr) {
+    ASSERT_STREQ(kernels::backend_name(), want);
+  }
+  for (std::size_t n : kVecLengths) {
+    SCOPED_TRACE(std::string(kernels::backend_name()) +
+                 " n=" + std::to_string(n));
+    const Vec x = table_data<double>(21, n), y0 = table_data<double>(22, n);
+
+    Vec y = y0, ref = y0;
+    kernels::axpy(0.75, x, y);
+    for (std::size_t i = 0; i < n; ++i) ref[i] += 0.75 * x[i];
+    EXPECT_TRUE(same_bytes(y, ref)) << "axpy";
+
+    y = y0;
+    ref = y0;
+    kernels::xpay(x, -1.25, y);
+    for (std::size_t i = 0; i < n; ++i) ref[i] = x[i] + -1.25 * ref[i];
+    EXPECT_TRUE(same_bytes(y, ref)) << "xpay";
+
+    y = y0;
+    ref = y0;
+    kernels::scale(3.5, y);
+    for (std::size_t i = 0; i < n; ++i) ref[i] *= 3.5;
+    EXPECT_TRUE(same_bytes(y, ref)) << "scale";
+
+    ref.assign(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) ref[i] = x[i] - y0[i];
+    EXPECT_TRUE(same_bytes(kernels::subtract(x, y0), ref)) << "subtract";
+
+    const double d =
+        blocked_sum(n, [&](std::size_t i) { return x[i] * y0[i]; });
+    const double sx = blocked_sum(n, [&](std::size_t i) { return x[i]; });
+    EXPECT_TRUE(same_double(kernels::dot(x, y0), d)) << "dot";
+    EXPECT_TRUE(same_double(kernels::sum(x), sx)) << "sum";
+    EXPECT_TRUE(same_double(kernels::norm2(x), std::sqrt(kernels::dot(x, x))))
+        << "norm2";
+
+    y = x;
+    ref = x;
+    kernels::project_out_constant(y);
+    const double mean = sx / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) ref[i] -= mean;
+    EXPECT_TRUE(same_bytes(y, ref)) << "project_out_constant";
+
+    // A ragged CSR over n rows: 1-5 nonzeros per row, scattered columns.
+    std::vector<std::size_t> off{0};
+    std::vector<std::uint32_t> col;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i % 5; ++j) {
+        col.push_back(static_cast<std::uint32_t>((i * 7 + j * 53) % n));
+      }
+      off.push_back(col.size());
+    }
+    const Vec val = table_data<double>(23, col.size());
+    y.assign(n, 0.0);
+    kernels::spmv(off.data(), col.data(), val.data(), n, col.size(), x, y);
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
+        acc += val[p] * x[col[p]];
+      }
+      ref[i] = acc;
+    }
+    EXPECT_TRUE(same_bytes(y, ref)) << "spmv";
+  }
+}
+
+TEST(TableKernels, VecEntryPointsMatchPlainLoopsOnEveryTable) {
+  std::string exe = self_exe();
+  ASSERT_FALSE(exe.empty());
+  for (const kernels::Backend* be : supported_tables()) {
+    std::string cmd = std::string("PARSDD_SIMD=") + be->name +
+                      " PARSDD_VEC_TABLE=" + be->name + " '" + exe +
+                      "' --gtest_filter=VecKernelsChild.MatchPlainLoops"
+                      " > /dev/null 2>&1";
+    EXPECT_EQ(std::system(cmd.c_str()), 0)
+        << "Vec entry points diverged on the " << be->name << " table";
+  }
 }
 
 // ---------------------------------------------------------------------------

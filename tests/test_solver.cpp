@@ -1,6 +1,10 @@
 // IncrementalSparsify, chain construction, recursive solver, SddSolver.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.h"
 #include "kernels/kernels.h"
 #include "linalg/dense_ldlt.h"
@@ -160,12 +164,14 @@ TEST_P(RecursiveSolverFamily, SolvesToTolerance) {
   RecursiveSolverOptions ro;
   ro.inner = method == 0 ? InnerMethod::kFlexibleCg : InnerMethod::kChebyshev;
   RecursiveSolver rs(chain, ro);
+  RecursiveSolver::Workspace ws = rs.make_workspace();
   CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
   Vec b = random_unit_like(g.n, 11);
-  Vec x(g.n, 0.0);
-  IterStats st = rs.solve(b, x, 1e-8, 3000);
+  MultiVec x(g.n, 1, 0.0);
+  IterStats st =
+      rs.solve_batch(MultiVec::from_columns({b}), x, 1e-8, 3000, ws).at(0);
   EXPECT_TRUE(st.converged) << "family=" << family;
-  EXPECT_LT(kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b), 1e-6);
+  EXPECT_LT(kernels::norm2(kernels::subtract(lap.apply(x.column(0)), b)) / kernels::norm2(b), 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -176,11 +182,12 @@ TEST(RecursiveSolver, OnePassReducesResidual) {
   GeneratedGraph g = grid2d(24, 24);
   SolverChain chain = build_chain(g.n, g.edges);
   RecursiveSolver rs(chain);
+  RecursiveSolver::Workspace ws = rs.make_workspace();
   CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
   Vec b = random_unit_like(g.n, 12);
-  Vec x;
-  rs.apply(b, x);
-  double rel = kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b);
+  MultiVec x;
+  rs.apply_block(MultiVec::from_columns({b}), x, ws);
+  double rel = kernels::norm2(kernels::subtract(lap.apply(x.column(0)), b)) / kernels::norm2(b);
   EXPECT_LT(rel, 0.9);
   // bottom_visits is 0 when the chain's B collapses to a tree (fully
   // eliminated, no dense level) — both shapes are valid.
@@ -190,15 +197,56 @@ TEST(RecursiveSolver, RpchConvergesLinearlyInPasses) {
   GeneratedGraph g = grid2d(20, 20);
   SolverChain chain = build_chain(g.n, g.edges);
   RecursiveSolver rs(chain);
-  CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
-  Vec b = random_unit_like(g.n, 13);
-  Vec x(g.n, 0.0);
-  IterStats st = rs.solve_rpch(b, x, 1e-8, 400);
+  RecursiveSolver::Workspace ws = rs.make_workspace();
+  MultiVec b = MultiVec::from_columns({random_unit_like(g.n, 13)});
+  MultiVec x(g.n, 1, 0.0);
+  IterStats st = rs.solve_rpch_batch(b, x, 1e-8, 400, ws).at(0);
   EXPECT_TRUE(st.converged);
   // log(1/eps) dependence: doubling the digits should not explode passes.
-  Vec x2(g.n, 0.0);
-  IterStats st2 = rs.solve_rpch(b, x2, 1e-4, 400);
+  MultiVec x2(g.n, 1, 0.0);
+  IterStats st2 = rs.solve_rpch_batch(b, x2, 1e-4, 400, ws).at(0);
   EXPECT_LE(st2.iterations, st.iterations);
+}
+
+// The kChebyshev constructor measures λmax(B_i⁺A_i) per level by power
+// iteration through the chain recursion.  The bounds feed every Chebyshev
+// coefficient, and snapshots (test_golden) restore them instead of
+// re-measuring, so a change in the power iteration or the recursion it runs
+// would go unseen there.  Pinned here bit for bit, on one default chain and
+// one deeper sampled chain whose power iteration recurses through nested
+// Chebyshev levels.  Pure in the inputs: identical for every SIMD table and
+// pool size.
+void expect_bounds(const std::vector<std::pair<double, double>>& got,
+                   const std::vector<std::pair<double, double>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got[i].first, &want[i].first, sizeof(double)), 0)
+        << "level " << i << " lower " << got[i].first;
+    EXPECT_EQ(std::memcmp(&got[i].second, &want[i].second, sizeof(double)), 0)
+        << "level " << i << " upper " << got[i].second;
+  }
+}
+
+TEST(RecursiveSolver, ChebyshevLevelBoundsPinned) {
+  RecursiveSolverOptions ro;
+  ro.inner = InnerMethod::kChebyshev;
+
+  GeneratedGraph g = grid2d(20, 20);
+  SolverChain chain = build_chain(g.n, g.edges);
+  RecursiveSolver rs(chain, ro);
+  expect_bounds(rs.level_bounds(),
+                {{0x1.8eaada532e794p-4, 0x1.021f1edb5b57p+9},
+                 {0x1.72fec1c6e3957p-1, 0x1.4c60066e81d4ep+8}});
+
+  ChainOptions sampled;
+  sampled.mode = ChainMode::kSampled;
+  SolverChain deep = build_chain(g.n, g.edges, sampled);
+  RecursiveSolver rs_deep(deep, ro);
+  expect_bounds(rs_deep.level_bounds(),
+                {{0x1.aeb305131deeap-4, 0x1.19653da99255bp+5},
+                 {0x1.4a178ae54adedp-1, 0x1.92fa1da7dedccp+6},
+                 {0x1.4a2d33d8f8933p+4, 0x1.5eb03aee0deeep+9},
+                 {0x0p+0, 0x0p+0}});
 }
 
 TEST(SddSolver, LaplacianGridMatchesDenseReference) {
