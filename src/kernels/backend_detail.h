@@ -1,9 +1,8 @@
-// Internal to src/kernels/: the portable reference implementations (templates
-// over float/double) and the per-ISA backend factories.  The scalar templates
-// define the IEEE operation sequence every vector backend must reproduce
-// bit-for-bit per column; the AVX files call back into them for plain
-// copies and for every block narrower than a register (k <= 7, see
-// "block kernels" below), which includes every Vec kernel (k = 1).
+// Internal to src/kernels/: the one source of every kernels::Backend table.
+// Each BlockOps kernel is written once here, as a template over the element
+// type and the lane count; the scalar table and the per-ISA tables
+// (backend_avx2.cpp, backend_avx512.cpp) are compilations of these same
+// templates, so they cannot disagree on the IEEE operation sequence.
 #pragma once
 
 #include <cstddef>
@@ -18,19 +17,23 @@ namespace parsdd::kernels::detail {
 //
 // Every BlockOps kernel is written once, as Kernel::run<K>(w, ...), where w
 // is the block width (the column count k, or the fold/backsub chunk width
-// c1 - c0).  K > 0 instantiates the loop for exactly K lanes; K == 0 is the
-// runtime-width loop, which is the reference IEEE sequence.  run_narrow()
-// maps w = 1..kNarrowMaxWidth onto K with one switch per call.  The scalar
-// table runs run_any_width() (narrow, else K == 0); the AVX tables inline
-// run_narrow() into their target("avx2"/"avx512f") functions, so the same
-// loops are vectorized across the K lanes for that ISA, and keep their
-// intrinsics for blocks of a register or more.
+// c1 - c0).  K = 1..kNarrowMaxWidth instantiates the loop for exactly K
+// lanes, K >= kChunkWidth for a register group, and K == 0 is the
+// runtime-width loop, which is the reference IEEE sequence.
+// Tables pick a dispatch per width:
 //
-// Serving batches are 1-4 columns wide, below one AVX-512 f64 register, so
-// without the narrow path every serving kernel ran the runtime-k remainder
-// loop.  The narrow path changes no bits: each lane still executes its own
-// column's scalar chain in the reference order (rows ascending, nonzeros
-// ascending, steps in record order), the library is built with
+//   * w = 1..kNarrowMaxWidth (every serving batch, every Vec kernel):
+//     the narrow instantiation, through one switch per call, in every
+//     table;
+//   * wider blocks, scalar table: the K == 0 loop (run_wide);
+//   * wider blocks, per-ISA tables (compiled under their target
+//     attribute): the K == 0 loop for the row-streaming column kernels,
+//     register groups plus a narrow tail (run_grouped) for the
+//     reductions, SpMM and fold/backsub.
+//
+// No dispatch changes bits: each lane executes its own column's scalar
+// chain in the reference order (rows ascending, nonzeros ascending from
+// +0.0, steps in record order), the library is built with
 // -ffp-contract=off, and nothing is reassociated (DESIGN.md §9).
 
 #define PARSDD_ALWAYS_INLINE __attribute__((always_inline)) inline
@@ -38,9 +41,10 @@ namespace parsdd::kernels::detail {
 // The column reductions are in-order chains down the rows, so the only legal
 // vectorization runs across lanes.  GCC's loop vectorizer would otherwise
 // emit an in-order "fold-left" reduction over pairs of rows: bitwise the
-// same, but 2-3x slower than K independent lane chains.  Applied to the
-// reduction entry points of every table (clang does not vectorize ordered
-// FP reductions and has no such attribute).
+// same, but 2-3x slower than K independent lane chains.  Applied to every
+// function a reduction loop is compiled into: the scalar table's entry
+// points and the per-ISA tables' reduce() (clang does not vectorize
+// ordered FP reductions and has no such attribute).
 #if defined(__clang__)
 #define PARSDD_LANE_REDUCTION
 #else
@@ -48,9 +52,23 @@ namespace parsdd::kernels::detail {
   __attribute__((optimize("no-tree-loop-vectorize")))
 #endif
 
-/// Widest block with a compile-time-width instantiation: one below the
-/// AVX-512 f64 register, where the intrinsics take over.
+/// Widest block with its own compile-time-width instantiation.
 inline constexpr std::size_t kNarrowMaxWidth = 7;
+/// Register groups of the per-ISA tables: kGroupWidth<T> lanes of T (64
+/// bytes: 8 f64 or 16 f32 lanes, two 32-byte vector packs).  A block of
+/// f32 may also take one kChunkWidth-lane group, the fold/backsub column
+/// chunk (kColChunk in layer 2).
+template <typename T>
+inline constexpr std::size_t kGroupWidth = 64 / sizeof(T);
+inline constexpr std::size_t kChunkWidth = 8;
+
+/// How many K-lane groups one Kernel::run<K> call over T covers: every
+/// full group of the width-w block for K = kGroupWidth<T>, else one group
+/// at column 0.
+template <std::size_t K, typename T>
+PARSDD_ALWAYS_INLINE constexpr std::size_t groups(std::size_t w) {
+  return K == kGroupWidth<std::remove_const_t<T>> ? w / K : 1;
+}
 
 /// A K-lane segment of one row.  K > 0: a local copy that commit() writes
 /// back, so every load precedes every store and the compiler can keep the
@@ -76,6 +94,51 @@ class Lanes {
   V v_[K];
   T* p_;
 };
+
+/// A register group (K >= kChunkWidth lanes) held as GCC/Clang vectors of
+/// 32 bytes (one AVX2 register; the AVX-512 table runs them as such too),
+/// so each lane operation of a kernel body is one vector operation per
+/// pack.  size() is the pack count and each element is a whole pack; a
+/// scalar operand of a lane expression is broadcast, so the expression is
+/// the same IEEE operation in every lane.  Only the per-ISA tables
+/// instantiate it, inside their target-attributed functions.
+template <std::size_t K, typename T>
+  requires(K >= kChunkWidth)
+class Lanes<K, T> {
+ public:
+  using E = std::remove_const_t<T>;
+  static constexpr std::size_t kPackBytes = 32;
+  static constexpr std::size_t kPacks = K * sizeof(E) / kPackBytes;
+  typedef E V __attribute__((vector_size(kPackBytes)));
+  // The same vector at element alignment, for unaligned loads and stores.
+  typedef E U __attribute__((vector_size(kPackBytes), aligned(alignof(E)),
+                             may_alias));
+  PARSDD_ALWAYS_INLINE Lanes(T* p, std::size_t /*w*/) : p_(p) {
+    for (std::size_t i = 0; i < kPacks; ++i) {
+      v_[i] = reinterpret_cast<const U*>(p)[i];
+    }
+  }
+  static constexpr std::size_t size() { return kPacks; }
+  PARSDD_ALWAYS_INLINE V& operator[](std::size_t i) { return v_[i]; }
+  PARSDD_ALWAYS_INLINE const V& operator[](std::size_t i) const {
+    return v_[i];
+  }
+  PARSDD_ALWAYS_INLINE void commit() {
+    for (std::size_t i = 0; i < kPacks; ++i) {
+      reinterpret_cast<U*>(p_)[i] = v_[i];
+    }
+  }
+
+ private:
+  V v_[kPacks];
+  T* p_;
+};
+
+/// +0.0 in one lane, or in every lane of a register group.
+template <typename V>
+PARSDD_ALWAYS_INLINE void set_zero(V& lane) {
+  lane = V{};
+}
 
 template <typename T>
 class Lanes<0, T> {
@@ -114,11 +177,12 @@ class ColGate<K, false> {
   }
 };
 
-/// Runs Kernel::run<w>(w, args...) when 1 <= w <= kNarrowMaxWidth; returns
-/// false (nothing run) otherwise.
+/// Runs Kernel::run<lanes>(w, args...) when 1 <= lanes <= kNarrowMaxWidth;
+/// returns false (nothing run) otherwise.
 template <class Kernel, typename... Args>
-PARSDD_ALWAYS_INLINE bool run_narrow(std::size_t w, Args... args) {
-  switch (w) {
+PARSDD_ALWAYS_INLINE bool run_lanes(std::size_t lanes, std::size_t w,
+                                    Args... args) {
+  switch (lanes) {
     case 1: Kernel::template run<1>(w, args...); return true;
     case 2: Kernel::template run<2>(w, args...); return true;
     case 3: Kernel::template run<3>(w, args...); return true;
@@ -129,7 +193,14 @@ PARSDD_ALWAYS_INLINE bool run_narrow(std::size_t w, Args... args) {
     default: return false;
   }
 }
-static_assert(kNarrowMaxWidth == 7, "run_narrow: one case per width");
+static_assert(kNarrowMaxWidth == 7, "run_lanes: one case per width");
+
+/// Runs Kernel::run<w>(w, args...) when 1 <= w <= kNarrowMaxWidth; returns
+/// false (nothing run) otherwise.
+template <class Kernel, typename... Args>
+PARSDD_ALWAYS_INLINE bool run_narrow(std::size_t w, Args... args) {
+  return run_lanes<Kernel>(w, w, args...);
+}
 
 /// The runtime-width loop, out of line: compiled into the same function as
 /// the seven narrow instantiations, GCC made it 20-30% slower at k = 8 and
@@ -147,8 +218,59 @@ PARSDD_ALWAYS_INLINE void run_any_width(std::size_t w, Args... args) {
   if (!run_narrow<Kernel>(w, args...)) run_wide<Kernel>(w, args...);
 }
 
+/// A kernel argument moved to column c.  Every raw pointer a kernel takes
+/// points at column 0 of a row-major block or of a per-column scalar array
+/// (row-indexed data travels in CsrArrays / StepRecord), so a column
+/// group's view of the block is each pointer plus c.
+template <typename A>
+PARSDD_ALWAYS_INLINE A at_col(A arg, std::size_t c) {
+  if constexpr (std::is_pointer_v<A>) {
+    return arg + c;
+  } else {
+    return arg;
+  }
+}
+
+/// The narrow instantiation for w <= kNarrowMaxWidth, else every full
+/// kGroupWidth<T> group (one run<kGroupWidth<T>> call, which walks them in
+/// its own traversal order), one kChunkWidth-lane group if a narrower
+/// group fits, and a narrow tail.  The per-ISA tables inline this into
+/// their target-attributed functions, so every Lanes loop is vectorized
+/// across the lanes for that ISA.
+template <class Kernel, typename T, typename... Args>
+PARSDD_ALWAYS_INLINE void run_grouped(std::size_t w, Args... args) {
+  // Narrow blocks first: there the row stride equals the compile-time lane
+  // count, which the tail (stride w, fewer lanes) cannot share.
+  if (run_narrow<Kernel>(w, args...)) return;
+  constexpr std::size_t kG = kGroupWidth<T>;
+  Kernel::template run<kG>(w, args...);
+  std::size_t c = w - w % kG;
+  if constexpr (kG > kChunkWidth) {
+    if (w - c >= kChunkWidth) {
+      Kernel::template run<kChunkWidth>(w, at_col(args, c)...);
+      c += kChunkWidth;
+    }
+  }
+  run_lanes<Kernel>(w - c, w, at_col(args, c)...);
+}
+
+/// Fold/backsub's form of run_grouped(): kChunkWidth-lane chunks, then a
+/// narrow tail.  Their lane count w is not their row stride (k is passed
+/// apart), so the tail reuses the narrow instantiations.
+template <class Kernel, typename... Args>
+PARSDD_ALWAYS_INLINE void run_chunked(std::size_t w, Args... args) {
+  std::size_t c = 0;
+  for (; c + kChunkWidth <= w; c += kChunkWidth) {
+    Kernel::template run<kChunkWidth>(kChunkWidth, at_col(args, c)...);
+  }
+  run_narrow<Kernel>(w - c, at_col(args, c)...);
+}
+
 // ---- column kernels over a rows x k row-major range (w == k).  The
-//      kMasked forms serve the layer-2 masked entry points. ----
+//      kMasked forms serve the layer-2 masked entry points.  These stream
+//      rows: every table runs their wide blocks as the runtime-width loop,
+//      row by row (a row-major block read group by group would stride
+//      through memory), so they have no register-group form. ----
 
 template <bool kMasked = false>
 struct AxpyCols {  // y[r,c] += a[c] * x[r,c]
@@ -249,18 +371,23 @@ struct CopyCols {  // dst[r,c] = src[r,c]
 };
 
 // Reductions ACCUMULATE into acc[k]; each lane runs down the rows in order.
+// A register group's accumulators stay in registers for its whole column
+// sweep (groups outside the row loop).
 
 struct DotColsAcc {  // acc[c] += sum_r x[r,c] * y[r,c]
   template <std::size_t K, typename T>
   PARSDD_ALWAYS_INLINE static void run(std::size_t k, const T* x, const T* y,
                                        std::size_t rows, T* acc) {
-    Lanes<K, T> s(acc, k);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const Lanes<K, const T> xr(x + r * k, k);
-      const Lanes<K, const T> yr(y + r * k, k);
-      for (std::size_t c = 0; c < s.size(); ++c) s[c] += xr[c] * yr[c];
+    for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+      const std::size_t c0 = g * K;
+      Lanes<K, T> s(acc + c0, k);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const Lanes<K, const T> xr(x + r * k + c0, k);
+        const Lanes<K, const T> yr(y + r * k + c0, k);
+        for (std::size_t c = 0; c < s.size(); ++c) s[c] += xr[c] * yr[c];
+      }
+      s.commit();
     }
-    s.commit();
   }
 };
 
@@ -268,16 +395,19 @@ struct DotDiffColsAcc {  // acc[c] += sum_r z[r,c] * (x[r,c] - y[r,c])
   template <std::size_t K, typename T>
   PARSDD_ALWAYS_INLINE static void run(std::size_t k, const T* z, const T* x,
                                        const T* y, std::size_t rows, T* acc) {
-    Lanes<K, T> s(acc, k);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const Lanes<K, const T> zr(z + r * k, k);
-      const Lanes<K, const T> xr(x + r * k, k);
-      const Lanes<K, const T> yr(y + r * k, k);
-      for (std::size_t c = 0; c < s.size(); ++c) {
-        s[c] += zr[c] * (xr[c] - yr[c]);
+    for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+      const std::size_t c0 = g * K;
+      Lanes<K, T> s(acc + c0, k);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const Lanes<K, const T> zr(z + r * k + c0, k);
+        const Lanes<K, const T> xr(x + r * k + c0, k);
+        const Lanes<K, const T> yr(y + r * k + c0, k);
+        for (std::size_t c = 0; c < s.size(); ++c) {
+          s[c] += zr[c] * (xr[c] - yr[c]);
+        }
       }
+      s.commit();
     }
-    s.commit();
   }
 };
 
@@ -285,34 +415,48 @@ struct SumColsAcc {  // acc[c] += sum_r x[r,c]
   template <std::size_t K, typename T>
   PARSDD_ALWAYS_INLINE static void run(std::size_t k, const T* x,
                                        std::size_t rows, T* acc) {
-    Lanes<K, T> s(acc, k);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const Lanes<K, const T> xr(x + r * k, k);
-      for (std::size_t c = 0; c < s.size(); ++c) s[c] += xr[c];
+    for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+      const std::size_t c0 = g * K;
+      Lanes<K, T> s(acc + c0, k);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const Lanes<K, const T> xr(x + r * k + c0, k);
+        for (std::size_t c = 0; c < s.size(); ++c) s[c] += xr[c];
+      }
+      s.commit();
     }
-    s.commit();
   }
 };
 
 // ---- CSR SpMM over rows [r0, r1): each output lane starts at +0.0 and adds
-//      the row's nonzeros in CSR order ----
+//      the row's nonzeros in CSR order.  Groups run inside the row loop,
+//      so a row's nonzeros are walked once per group while in L1. ----
+
+/// The raw arrays of a CSR matrix (row-indexed, so not column-shifted).
+template <typename T>
+struct CsrArrays {
+  const std::size_t* off;
+  const std::uint32_t* col;
+  const T* val;
+};
 
 struct SpmmRows {
   template <std::size_t K, typename T>
-  PARSDD_ALWAYS_INLINE static void run(std::size_t k, const std::size_t* off,
-                                       const std::uint32_t* col, const T* val,
+  PARSDD_ALWAYS_INLINE static void run(std::size_t k, CsrArrays<T> a,
                                        const T* x, T* y, std::size_t r0,
                                        std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
-      Lanes<K, T> yr(y + i * k, k);
-      for (std::size_t c = 0; c < yr.size(); ++c) yr[c] = T(0);
-      for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
-        const T v = val[p];
-        const Lanes<K, const T> xr(x + static_cast<std::size_t>(col[p]) * k,
-                                   k);
-        for (std::size_t c = 0; c < yr.size(); ++c) yr[c] += v * xr[c];
+      for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+        const std::size_t c0 = g * K;
+        Lanes<K, T> yr(y + i * k + c0, k);
+        for (std::size_t c = 0; c < yr.size(); ++c) set_zero(yr[c]);
+        for (std::size_t p = a.off[i]; p < a.off[i + 1]; ++p) {
+          const T v = a.val[p];
+          const Lanes<K, const T> xr(
+              x + static_cast<std::size_t>(a.col[p]) * k + c0, k);
+          for (std::size_t c = 0; c < yr.size(); ++c) yr[c] += v * xr[c];
+        }
+        yr.commit();
       }
-      yr.commit();
     }
   }
 };
@@ -321,13 +465,18 @@ struct SpmmRows {
 //      and `x` point at the chunk's first column, rows have stride k, and
 //      w = c1 - c0 is the chunk width ----
 
+/// A GreedyElimination record (row-indexed, so not column-shifted).
+struct StepRecord {
+  const ElimStep* steps;
+  std::size_t n;
+};
+
 struct FoldCols {
   template <std::size_t K, typename T>
-  PARSDD_ALWAYS_INLINE static void run(std::size_t w, const ElimStep* steps,
-                                       std::size_t nsteps, T* folded,
-                                       std::size_t k) {
-    for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
-      const ElimStep& s = steps[s_idx];
+  PARSDD_ALWAYS_INLINE static void run(std::size_t w, StepRecord rec,
+                                       T* folded, std::size_t k) {
+    for (std::size_t s_idx = 0; s_idx < rec.n; ++s_idx) {
+      const ElimStep& s = rec.steps[s_idx];
       const Lanes<K, const T> fv(folded + static_cast<std::size_t>(s.v) * k,
                                  w);
       if (s.degree >= 1) {
@@ -348,16 +497,15 @@ struct FoldCols {
 
 struct BacksubCols {
   template <std::size_t K, typename T>
-  PARSDD_ALWAYS_INLINE static void run(std::size_t w, const ElimStep* steps,
-                                       std::size_t nsteps, const T* folded,
-                                       T* x, std::size_t k) {
-    for (std::size_t s_idx = nsteps; s_idx-- > 0;) {
-      const ElimStep& s = steps[s_idx];
+  PARSDD_ALWAYS_INLINE static void run(std::size_t w, StepRecord rec,
+                                       const T* folded, T* x, std::size_t k) {
+    for (std::size_t s_idx = rec.n; s_idx-- > 0;) {
+      const ElimStep& s = rec.steps[s_idx];
       Lanes<K, T> xv(x + static_cast<std::size_t>(s.v) * k, w);
       const Lanes<K, const T> fb(folded + static_cast<std::size_t>(s.v) * k,
                                  w);
       if (s.degree == 0) {
-        for (std::size_t c = 0; c < xv.size(); ++c) xv[c] = T(0);
+        for (std::size_t c = 0; c < xv.size(); ++c) set_zero(xv[c]);
       } else if (s.degree == 1) {
         const T piv = static_cast<T>(s.pivot);
         const Lanes<K, const T> xu1(x + static_cast<std::size_t>(s.u1) * k, w);
@@ -379,23 +527,87 @@ struct BacksubCols {
   }
 };
 
-// ---- the portable table entries (BlockOps signatures) ----
+// ---- the table entries (BlockOps signatures) ----
+//
+// Each entry runs its kernel through the table's dispatch policy Isa:
+// stream() for the row-streaming column kernels, grouped() for SpMM,
+// chunked() for fold/backsub, reduce() for the column reductions (which
+// carry PARSDD_LANE_REDUCTION).  BaselineIsa (the scalar table) inlines
+// run_any_width() into the entry itself; a per-ISA policy
+// (PARSDD_GROUPED_ISA) is a target-attributed function that the entry
+// tail-calls.  copy_cols is one flat loop over rows * k entries at any
+// width, the same in every table.
 
-template <typename T>
+struct BaselineIsa {
+  template <class Kernel, typename... Args>
+  PARSDD_ALWAYS_INLINE static void stream(std::size_t w, Args... args) {
+    run_any_width<Kernel>(w, args...);
+  }
+  template <class Kernel, typename T, typename... Args>
+  PARSDD_ALWAYS_INLINE static void grouped(std::size_t w, Args... args) {
+    run_any_width<Kernel>(w, args...);
+  }
+  template <class Kernel, typename... Args>
+  PARSDD_ALWAYS_INLINE static void chunked(std::size_t w, Args... args) {
+    run_any_width<Kernel>(w, args...);
+  }
+  template <class Kernel, typename T, typename... Args>
+  PARSDD_ALWAYS_INLINE static void reduce(std::size_t w, Args... args) {
+    run_any_width<Kernel>(w, args...);
+  }
+};
+
+/// Defines the dispatch policy `Name` of a per-ISA table, whose functions
+/// compile under __attribute__((target(isa))): stream() runs the narrow
+/// instantiation or the runtime-width loop, grouped() and reduce() run
+/// run_grouped(), chunked() runs run_chunked().  The file that expands it
+/// is built without -m flags, so the table is safe to link into a binary
+/// for any x86 CPU; kernels.cpp takes it only after the matching cpuid
+/// check.
+#define PARSDD_GROUPED_ISA(Name, isa)                                   \
+  struct Name {                                                         \
+    template <class Kernel, typename... Args>                           \
+    __attribute__((target(isa))) static void stream(std::size_t w,      \
+                                                    Args... args) {     \
+      if (!run_narrow<Kernel>(w, args...)) wide<Kernel>(w, args...);    \
+    }                                                                   \
+    template <class Kernel, typename... Args>                           \
+    __attribute__((target(isa), noinline)) static void wide(            \
+        std::size_t w, Args... args) {                                  \
+      Kernel::template run<0>(w, args...);                              \
+    }                                                                   \
+    template <class Kernel, typename T, typename... Args>               \
+    __attribute__((target(isa))) static void grouped(std::size_t w,     \
+                                                     Args... args) {    \
+      run_grouped<Kernel, T>(w, args...);                               \
+    }                                                                   \
+    template <class Kernel, typename... Args>                           \
+    __attribute__((target(isa))) static void chunked(std::size_t w,     \
+                                                     Args... args) {    \
+      run_chunked<Kernel>(w, args...);                                  \
+    }                                                                   \
+    template <class Kernel, typename T, typename... Args>               \
+    __attribute__((target(isa))) PARSDD_LANE_REDUCTION static void      \
+    reduce(std::size_t w, Args... args) {                               \
+      run_grouped<Kernel, T>(w, args...);                               \
+    }                                                                   \
+  }
+
+template <typename T, class Isa>
 void axpy_cols_t(const T* a, const T* x, T* y, std::size_t rows,
                  std::size_t k) {
-  run_any_width<AxpyCols<>>(k, a, x, y, rows);
+  Isa::template stream<AxpyCols<>>(k, a, x, y, rows);
 }
 
-template <typename T>
+template <typename T, class Isa>
 void xpay_cols_t(const T* x, const T* a, T* y, std::size_t rows,
                  std::size_t k) {
-  run_any_width<XpayCols<>>(k, x, a, y, rows);
+  Isa::template stream<XpayCols<>>(k, x, a, y, rows);
 }
 
-template <typename T>
+template <typename T, class Isa>
 void scale_cols_t(const T* a, T* x, std::size_t rows, std::size_t k) {
-  run_any_width<ScaleCols<>>(k, a, x, rows);
+  Isa::template stream<ScaleCols<>>(k, a, x, rows);
 }
 
 template <typename T>
@@ -403,69 +615,69 @@ void copy_cols_t(const T* src, T* dst, std::size_t rows, std::size_t k) {
   run_any_width<CopyCols<>>(k, src, dst, rows);
 }
 
-template <typename T>
+template <typename T, class Isa>
 void sub_cols_t(const T* m, T* x, std::size_t rows, std::size_t k) {
-  run_any_width<SubCols<>>(k, m, x, rows);
+  Isa::template stream<SubCols<>>(k, m, x, rows);
 }
 
-template <typename T>
+template <typename T, class Isa>
 PARSDD_LANE_REDUCTION void dot_cols_acc_t(const T* x, const T* y,
                                           std::size_t rows, std::size_t k,
                                           T* acc) {
-  run_any_width<DotColsAcc>(k, x, y, rows, acc);
+  Isa::template reduce<DotColsAcc, T>(k, x, y, rows, acc);
 }
 
-template <typename T>
+template <typename T, class Isa>
 PARSDD_LANE_REDUCTION void dot_diff_cols_acc_t(const T* z, const T* x,
                                                const T* y, std::size_t rows,
                                                std::size_t k, T* acc) {
-  run_any_width<DotDiffColsAcc>(k, z, x, y, rows, acc);
+  Isa::template reduce<DotDiffColsAcc, T>(k, z, x, y, rows, acc);
 }
 
-template <typename T>
+template <typename T, class Isa>
 PARSDD_LANE_REDUCTION void sum_cols_acc_t(const T* x, std::size_t rows,
                                           std::size_t k, T* acc) {
-  run_any_width<SumColsAcc>(k, x, rows, acc);
+  Isa::template reduce<SumColsAcc, T>(k, x, rows, acc);
 }
 
-// ---- CSR ----
-
-template <typename T>
+template <typename T, class Isa>
 void spmm_rows_t(const std::size_t* off, const std::uint32_t* col,
                  const T* val, const T* x, T* y, std::size_t r0,
                  std::size_t r1, std::size_t k) {
-  run_any_width<SpmmRows>(k, off, col, val, x, y, r0, r1);
+  Isa::template grouped<SpmmRows, T>(k, CsrArrays<T>{off, col, val}, x, y,
+                                     r0, r1);
 }
 
-template <typename T>
+template <typename T, class Isa>
 void fold_cols_t(const ElimStep* steps, std::size_t nsteps, T* folded,
                  std::size_t k, std::size_t c0, std::size_t c1) {
-  run_any_width<FoldCols>(c1 - c0, steps, nsteps, folded + c0, k);
+  Isa::template chunked<FoldCols>(c1 - c0, StepRecord{steps, nsteps},
+                                  folded + c0, k);
 }
 
-template <typename T>
+template <typename T, class Isa>
 void backsub_cols_t(const ElimStep* steps, std::size_t nsteps, const T* folded,
                     T* x, std::size_t k, std::size_t c0, std::size_t c1) {
-  run_any_width<BacksubCols>(c1 - c0, steps, nsteps, folded + c0, x + c0, k);
+  Isa::template chunked<BacksubCols>(c1 - c0, StepRecord{steps, nsteps},
+                                     folded + c0, x + c0, k);
 }
 
-// The portable op table for one element type: the templates above, in
-// BlockOps field order.  The scalar backend is two of these; the AVX
-// backends override entries with their intrinsics.
-template <typename T>
-constexpr BlockOps<T> scalar_block_ops() {
+/// The op table for one element type under dispatch policy Isa, in
+/// BlockOps field order.  Every Backend is two of these.
+template <typename T, class Isa>
+constexpr BlockOps<T> block_ops() {
   return BlockOps<T>{
-      &axpy_cols_t<T>,
-      &xpay_cols_t<T>,
-      &scale_cols_t<T>,
+      &axpy_cols_t<T, Isa>,
+      &xpay_cols_t<T, Isa>,
+      &scale_cols_t<T, Isa>,
       &copy_cols_t<T>,
-      &sub_cols_t<T>,
-      &dot_cols_acc_t<T>,
-      &dot_diff_cols_acc_t<T>,
-      &sum_cols_acc_t<T>,
-      &spmm_rows_t<T>,
-      &fold_cols_t<T>,
-      &backsub_cols_t<T>,
+      &sub_cols_t<T, Isa>,
+      &dot_cols_acc_t<T, Isa>,
+      &dot_diff_cols_acc_t<T, Isa>,
+      &sum_cols_acc_t<T, Isa>,
+      &spmm_rows_t<T, Isa>,
+      &fold_cols_t<T, Isa>,
+      &backsub_cols_t<T, Isa>,
   };
 }
 

@@ -1,7 +1,8 @@
-// The portable backend: the reference operation sequence, built entirely
-// from the templates in backend_detail.h.  Always available; the AVX
-// backends must match it bit-for-bit (test_kernels enforces this through
-// whole solves).
+// The scalar table: backend_detail.h's templates built for the baseline
+// ISA, with the runtime-width loop for blocks wider than kNarrowMaxWidth.
+// Always available.  Its loops are the reference IEEE sequence; the
+// per-ISA tables compile the same templates, and test_kernels checks every
+// table against plain per-column loops and through whole solves.
 #include "kernels/backend_detail.h"
 
 namespace parsdd::kernels::detail {
@@ -10,8 +11,8 @@ const Backend& scalar_backend() {
   static const Backend be{
       /*name=*/"scalar",
       /*level=*/SimdLevel::kScalar,
-      /*f64=*/scalar_block_ops<double>(),
-      /*f32=*/scalar_block_ops<float>(),
+      /*f64=*/block_ops<double, BaselineIsa>(),
+      /*f32=*/block_ops<float, BaselineIsa>(),
   };
   return be;
 }

@@ -7,8 +7,8 @@
 // solve is bitwise identical to the pre-backend code under every backend
 // and every pool size.  The masked column variants (they run only after a
 // column freezes) and the row gather/scatter are not per-ISA; they use the
-// same compile-time-width loops as the backends (backend_detail.h), built
-// for the baseline ISA.
+// same kernel templates as the tables (backend_detail.h), dispatched like
+// the scalar table and built for the baseline ISA.
 #include "kernels/kernels.h"
 
 #include <algorithm>

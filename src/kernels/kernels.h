@@ -7,20 +7,23 @@
 //      ranges (BLAS-1 column kernels, CSR SpMM with k-dimension blocking,
 //      elimination fold/backsub column chunks), selected once per
 //      process from {scalar, avx2, avx512} via cpuid with a
-//      PARSDD_SIMD=scalar|avx2|avx512|auto override.  The backend functions
-//      are SERIAL over their range; parallelism stays in layer 2.
+//      PARSDD_SIMD=scalar|avx2|avx512|auto override.  The three tables are
+//      three compilations of one set of kernel templates
+//      (backend_detail.h): for the baseline ISA, and under
+//      target("avx2") / target("avx512f").  The backend functions are
+//      SERIAL over their range; parallelism stays in layer 2.
 //   2. The parsdd::kernels:: free functions — the deterministic parallel
 //      entry points the solvers call.  They own the GranularitySites and the
 //      canonical block partition, and invoke the selected backend once per
 //      block, so the reduction-tree shape (and therefore every bit of every
 //      result) is identical across backends and pool sizes.
 //
-// Bitwise-SIMD contract (DESIGN.md §9): vector backends vectorize only
+// Bitwise-SIMD contract (DESIGN.md §9): every table vectorizes only
 // across independent lanes — the k columns of a row-major MultiVec — never
 // along a serial reduction chain, and never with FMA contraction.  Each
-// column therefore performs the exact IEEE operation sequence of the scalar
-// backend, which is why PARSDD_SIMD=scalar and =avx512 solves are bitwise
-// identical (test_kernels locks this in).  A Vec is an n x 1 block: its
+// column therefore performs the exact IEEE operation sequence of the
+// kernel templates, which is why PARSDD_SIMD=scalar and =avx512 solves are
+// bitwise identical (test_kernels locks this in).  A Vec is an n x 1 block: its
 // dot/sum and SpMV run the k = 1 column loops, one serial chain per block.
 //
 // Element types: the MultiVec entry points are generic over T, and the

@@ -2,7 +2,6 @@
 #include "kernels/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace parsdd {
@@ -103,11 +102,5 @@ template std::vector<IterStats> chebyshev_block<float>(
     const BasicBlockLinOp<float>&, const BasicMultiVec<float>&,
     BasicMultiVec<float>&, const ChebyshevOptions&,
     const BasicBlockLinOp<float>*, BasicBlockScratch<float>*);
-
-std::uint32_t chebyshev_iterations_for(double kappa, double factor) {
-  if (kappa < 1.0) kappa = 1.0;
-  double it = 0.5 * std::sqrt(kappa) * std::log(2.0 / factor);
-  return static_cast<std::uint32_t>(std::ceil(std::max(1.0, it)));
-}
 
 }  // namespace parsdd

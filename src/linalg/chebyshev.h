@@ -37,8 +37,4 @@ std::vector<IterStats> chebyshev_block(
     const std::type_identity_t<BasicBlockLinOp<T>>* precond = nullptr,
     std::type_identity_t<BasicBlockScratch<T>>* scratch = nullptr);
 
-/// Number of Chebyshev iterations sufficient to reduce the A-norm error by
-/// `factor` given condition number kappa: ceil(sqrt(kappa)/2 * ln(2/factor)).
-std::uint32_t chebyshev_iterations_for(double kappa, double factor);
-
 }  // namespace parsdd

@@ -3,14 +3,14 @@
 //
 // The correctness tests compare every layer-2 entry point against a naive
 // serial reference at sizes that are NOT multiples of any vector width
-// (rows = 257, k = 5), so remainder handling in the AVX backends is always
+// (rows = 257, k = 5), so remainder handling in the per-ISA tables is always
 // exercised.  TableKernels.* call every op table the CPU supports directly,
-// at every narrow width (k = 1..7, the compile-time-width path) and past
-// the register boundaries (k = 8, 9, 16), and run the Vec entry points (the
+// at every narrow width (k = 1..7, the compile-time-width path) and at the
+// register-group shapes (k = 8..33), and run the Vec entry points (the
 // tables' k = 1 kernels) once per table.  The contract tests re-execute
 // this binary per PARSDD_SIMD value (the env var is read once per process —
 // same subprocess pattern as test_granularity) and demand that a full
-// default-options chain solve, single and batched (k = 3, 4), is
+// default-options chain solve, single and batched (k = 3, 4, 16), is
 // byte-identical across {scalar, avx2, avx512, auto}.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -217,7 +217,12 @@ TEST(ColKernels, ProjectOutConstantZeroesColumnMeans) {
 // the masked layer-2 variants, against plain per-column reference loops
 // (the IEEE sequence DESIGN.md §9 fixes), compared byte for byte.
 
-const std::size_t kTableWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
+// The narrow widths 1..7, then the register-group shapes of the per-ISA
+// tables: one half group (8), half group + tail (9, 12, 15), one full
+// group (16) and its tail (17), full + half group (24) and full + half +
+// tail (33).
+const std::size_t kTableWidths[] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                    9, 12, 15, 16, 17, 24, 33};
 
 std::vector<const kernels::Backend*> supported_tables() {
   std::vector<const kernels::Backend*> t = {
@@ -364,7 +369,7 @@ void check_table(const kernels::BlockOps<T>& ops, std::size_t k) {
   EXPECT_TRUE(same_bytes(got, want)) << "spmm_rows";
 
   // Fold then back-substitute, in column chunks of 8 as layer 2 runs them,
-  // so k = 9 and 16 also exercise a narrow tail chunk.
+  // so k = 9..15, 17 and 33 also exercise a narrow tail chunk.
   const std::vector<kernels::ElimStep> steps = test_steps();
   const std::size_t chunk = 8;
   std::vector<T> folded = y0, folded_ref = y0;
@@ -625,9 +630,10 @@ TEST(KernelsChild, SolveAndDump) {
   kernels::project_out_constant(b);
   StatusOr<Vec> x = setup.solve(b);
   ASSERT_TRUE(x.ok()) << x.status().to_string();
-  // The serving widths: batched solves run the narrow-block kernels.
+  // The serving widths run the narrow-block kernels; k = 16 runs the
+  // per-ISA tables' register groups.
   std::vector<MultiVec> batches;
-  for (std::size_t k : {3, 4}) {
+  for (std::size_t k : {3, 4, 16}) {
     MultiVec bk(g.n, k);
     for (std::size_t c = 0; c < k; ++c) {
       Vec col = random_unit_like(g.n, 900 + 10 * k + c);
