@@ -1,7 +1,7 @@
-// The AVX2 table: backend_detail.h's templates compiled under
-// __attribute__((target("avx2"))), with 8-lane register groups for blocks
-// of 8 columns or more.  This file is built WITHOUT -mavx2, so it is safe
-// to link into a binary that must still run on non-AVX hardware: the
+// The AVX2 table: backend_detail.h's entries compiled under
+// __attribute__((target("avx2"))), with register groups for blocks of 8
+// columns or more.  This file is built WITHOUT -mavx2, so it is safe to
+// link into a binary that must still run on non-AVX hardware: the
 // dispatcher (kernels.cpp) only takes this table after
 // __builtin_cpu_supports("avx2") says yes.  The loops are the scalar
 // table's, vectorized across independent columns by the compiler (plain
@@ -12,7 +12,7 @@
 
 namespace parsdd::kernels::detail {
 namespace {
-PARSDD_GROUPED_ISA(Avx2, "avx2");
+PARSDD_BACKEND_OPS(Avx2Ops, __attribute__((target("avx2"))), true);
 }  // namespace
 
 bool avx2_supported() {
@@ -24,8 +24,8 @@ const Backend& avx2_backend() {
   static const Backend be{
       /*name=*/"avx2",
       /*level=*/SimdLevel::kAvx2,
-      /*f64=*/block_ops<double, Avx2>(),
-      /*f32=*/block_ops<float, Avx2>(),
+      /*f64=*/block_ops<double, Avx2Ops>(),
+      /*f32=*/block_ops<float, Avx2Ops>(),
   };
   return be;
 }

@@ -1,14 +1,14 @@
-// The AVX-512 table: backend_detail.h's templates compiled under
-// __attribute__((target("avx512f"))), with 8-lane register groups (one
-// f64 register) for blocks of 8 columns or more.  Same build and bitwise
-// contract as the AVX2 table (backend_avx2.cpp).
+// The AVX-512 table: backend_detail.h's entries compiled under
+// __attribute__((target("avx512f"))), with register groups for blocks of
+// 8 columns or more.  Same build and bitwise contract as the AVX2 table
+// (backend_avx2.cpp).
 #include "kernels/backend_detail.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 namespace parsdd::kernels::detail {
 namespace {
-PARSDD_GROUPED_ISA(Avx512, "avx512f");
+PARSDD_BACKEND_OPS(Avx512Ops, __attribute__((target("avx512f"))), true);
 }  // namespace
 
 bool avx512_supported() {
@@ -20,8 +20,8 @@ const Backend& avx512_backend() {
   static const Backend be{
       /*name=*/"avx512",
       /*level=*/SimdLevel::kAvx512,
-      /*f64=*/block_ops<double, Avx512>(),
-      /*f32=*/block_ops<float, Avx512>(),
+      /*f64=*/block_ops<double, Avx512Ops>(),
+      /*f32=*/block_ops<float, Avx512Ops>(),
   };
   return be;
 }

@@ -1,8 +1,10 @@
 // Internal to src/kernels/: the one source of every kernels::Backend table.
 // Each BlockOps kernel is written once here, as a template over the element
-// type and the lane count; the scalar table and the per-ISA tables
-// (backend_avx2.cpp, backend_avx512.cpp) are compilations of these same
-// templates, so they cannot disagree on the IEEE operation sequence.
+// type and the lane count, and each table is one PARSDD_BACKEND_OPS
+// expansion of the same entry functions: for the baseline ISA
+// (backend_scalar.cpp) or under a target attribute (backend_avx2.cpp,
+// backend_avx512.cpp).  So the tables cannot disagree on the IEEE
+// operation sequence.
 #pragma once
 
 #include <cstddef>
@@ -18,18 +20,16 @@ namespace parsdd::kernels::detail {
 // Every BlockOps kernel is written once, as Kernel::run<K>(w, ...), where w
 // is the block width (the column count k, or the fold/backsub chunk width
 // c1 - c0).  K = 1..kNarrowMaxWidth instantiates the loop for exactly K
-// lanes, K >= kChunkWidth for a register group, and K == 0 is the
-// runtime-width loop, which is the reference IEEE sequence.
-// Tables pick a dispatch per width:
+// lanes, K >= kChunkWidth for register groups, and K == 0 is the
+// runtime-width loop, which is the reference IEEE sequence.  A table
+// dispatches per call (run_table):
 //
 //   * w = 1..kNarrowMaxWidth (every serving batch, every Vec kernel):
-//     the narrow instantiation, through one switch per call, in every
-//     table;
+//     the narrow instantiation, through one switch, in every table;
 //   * wider blocks, scalar table: the K == 0 loop (run_wide);
-//   * wider blocks, per-ISA tables (compiled under their target
-//     attribute): the K == 0 loop for the row-streaming column kernels,
-//     register groups plus a narrow tail (run_grouped) for the
-//     reductions, SpMM and fold/backsub.
+//   * wider blocks, per-ISA tables: every full register group, then a
+//     narrow tail (for fold/backsub, whose w is not the row stride, the
+//     tail also serves narrow chunks).
 //
 // No dispatch changes bits: each lane executes its own column's scalar
 // chain in the reference order (rows ascending, nonzeros ascending from
@@ -41,10 +41,9 @@ namespace parsdd::kernels::detail {
 // The column reductions are in-order chains down the rows, so the only legal
 // vectorization runs across lanes.  GCC's loop vectorizer would otherwise
 // emit an in-order "fold-left" reduction over pairs of rows: bitwise the
-// same, but 2-3x slower than K independent lane chains.  Applied to every
-// function a reduction loop is compiled into: the scalar table's entry
-// points and the per-ISA tables' reduce() (clang does not vectorize
-// ordered FP reductions and has no such attribute).
+// same, but 2-3x slower than K independent lane chains.  Applied to the
+// reduction entries of every table (clang does not vectorize ordered FP
+// reductions and has no such attribute).
 #if defined(__clang__)
 #define PARSDD_LANE_REDUCTION
 #else
@@ -62,9 +61,9 @@ template <typename T>
 inline constexpr std::size_t kGroupWidth = 64 / sizeof(T);
 inline constexpr std::size_t kChunkWidth = 8;
 
-/// How many K-lane groups one Kernel::run<K> call over T covers: every
-/// full group of the width-w block for K = kGroupWidth<T>, else one group
-/// at column 0.
+/// How many K-lane groups one Kernel::run<K> call over a width-w block
+/// covers: every full group for K = kGroupWidth<T>, else one, at column 0
+/// (a narrow or runtime-width call is one group of all w lanes).
 template <std::size_t K, typename T>
 PARSDD_ALWAYS_INLINE constexpr std::size_t groups(std::size_t w) {
   return K == kGroupWidth<std::remove_const_t<T>> ? w / K : 1;
@@ -101,7 +100,7 @@ class Lanes {
 /// pack.  size() is the pack count and each element is a whole pack; a
 /// scalar operand of a lane expression is broadcast, so the expression is
 /// the same IEEE operation in every lane.  Only the per-ISA tables
-/// instantiate it, inside their target-attributed functions.
+/// instantiate it, inside their target-attributed entries.
 template <std::size_t K, typename T>
   requires(K >= kChunkWidth)
 class Lanes<K, T> {
@@ -150,6 +149,38 @@ class Lanes<0, T> {
 
  private:
   T* p_;
+  std::size_t w_;
+};
+
+/// A per-column scalar array (the a of axpy_cols, the m of sub_cols) as
+/// the lanes of group c0.  A narrow or runtime-width call has one group,
+/// at c0 = 0, and loads the array once, before its row loop.
+template <std::size_t K, typename T>
+class ColScalars {
+ public:
+  PARSDD_ALWAYS_INLINE ColScalars(const T* p, std::size_t w) : v_(p, w) {}
+  PARSDD_ALWAYS_INLINE const Lanes<K, const T>& group(std::size_t) const {
+    return v_;
+  }
+
+ private:
+  const Lanes<K, const T> v_;
+};
+
+/// Register groups walk the block's groups inside the row loop (a row-major
+/// block read group by group would stride through memory), so they reload
+/// their column scalars in every row.
+template <std::size_t K, typename T>
+  requires(K >= kChunkWidth)
+class ColScalars<K, T> {
+ public:
+  PARSDD_ALWAYS_INLINE ColScalars(const T* p, std::size_t w) : p_(p), w_(w) {}
+  PARSDD_ALWAYS_INLINE Lanes<K, const T> group(std::size_t c0) const {
+    return Lanes<K, const T>(p_ + c0, w_);
+  }
+
+ private:
+  const T* p_;
   std::size_t w_;
 };
 
@@ -220,8 +251,8 @@ PARSDD_ALWAYS_INLINE void run_any_width(std::size_t w, Args... args) {
 
 /// A kernel argument moved to column c.  Every raw pointer a kernel takes
 /// points at column 0 of a row-major block or of a per-column scalar array
-/// (row-indexed data travels in CsrArrays / StepRecord), so a column
-/// group's view of the block is each pointer plus c.
+/// (row-indexed data travels in CsrArrays / StepRecord), so the view of a
+/// block's columns from c on is each pointer plus c.
 template <typename A>
 PARSDD_ALWAYS_INLINE A at_col(A arg, std::size_t c) {
   if constexpr (std::is_pointer_v<A>) {
@@ -231,46 +262,47 @@ PARSDD_ALWAYS_INLINE A at_col(A arg, std::size_t c) {
   }
 }
 
-/// The narrow instantiation for w <= kNarrowMaxWidth, else every full
-/// kGroupWidth<T> group (one run<kGroupWidth<T>> call, which walks them in
-/// its own traversal order), one kChunkWidth-lane group if a narrower
-/// group fits, and a narrow tail.  The per-ISA tables inline this into
-/// their target-attributed functions, so every Lanes loop is vectorized
-/// across the lanes for that ISA.
-template <class Kernel, typename T, typename... Args>
-PARSDD_ALWAYS_INLINE void run_grouped(std::size_t w, Args... args) {
-  // Narrow blocks first: there the row stride equals the compile-time lane
-  // count, which the tail (stride w, fewer lanes) cannot share.
-  if (run_narrow<Kernel>(w, args...)) return;
-  constexpr std::size_t kG = kGroupWidth<T>;
-  Kernel::template run<kG>(w, args...);
-  std::size_t c = w - w % kG;
-  if constexpr (kG > kChunkWidth) {
-    if (w - c >= kChunkWidth) {
-      Kernel::template run<kChunkWidth>(w, at_col(args, c)...);
-      c += kChunkWidth;
-    }
-  }
-  run_lanes<Kernel>(w - c, w, at_col(args, c)...);
-}
+/// Whether a kernel's block width w is also its row stride.  It is not for
+/// fold/backsub, whose w is a column-chunk width (the stride k is passed
+/// apart); specialized to false after their definitions.
+template <class Kernel>
+inline constexpr bool kWidthIsStride = true;
 
-/// Fold/backsub's form of run_grouped(): kChunkWidth-lane chunks, then a
-/// narrow tail.  Their lane count w is not their row stride (k is passed
-/// apart), so the tail reuses the narrow instantiations.
-template <class Kernel, typename... Args>
-PARSDD_ALWAYS_INLINE void run_chunked(std::size_t w, Args... args) {
-  std::size_t c = 0;
-  for (; c + kChunkWidth <= w; c += kChunkWidth) {
-    Kernel::template run<kChunkWidth>(kChunkWidth, at_col(args, c)...);
+/// One table's dispatch of Kernel over a width-w block of T.  The scalar
+/// table runs the narrow instantiation for w <= kNarrowMaxWidth, else the
+/// out-of-line runtime-width loop.  A per-ISA table (kGrouped) runs every
+/// full kGroupWidth<T> group in one run<kGroupWidth<T>> call, which walks
+/// them in its own traversal order, then one kChunkWidth-lane group if a
+/// narrower group fits, then a narrow tail.  Where w is the row stride, a
+/// narrow block runs first, as its own instantiation: there the stride
+/// equals the compile-time lane count, which a tail cannot share.
+template <class Kernel, typename T, bool kGrouped, typename... Args>
+PARSDD_ALWAYS_INLINE void run_table(std::size_t w, Args... args) {
+  if constexpr (!kGrouped) {
+    run_any_width<Kernel>(w, args...);
+  } else {
+    if constexpr (kWidthIsStride<Kernel>) {
+      if (run_narrow<Kernel>(w, args...)) return;
+    }
+    constexpr std::size_t kG = kGroupWidth<T>;
+    std::size_t c = 0;
+    if (w >= kG) {
+      Kernel::template run<kG>(w, args...);
+      c = w - w % kG;
+    }
+    if constexpr (kG > kChunkWidth) {
+      if (w - c >= kChunkWidth) {
+        Kernel::template run<kChunkWidth>(w, at_col(args, c)...);
+        c += kChunkWidth;
+      }
+    }
+    run_lanes<Kernel>(w - c, w, at_col(args, c)...);
   }
-  run_narrow<Kernel>(w - c, at_col(args, c)...);
 }
 
 // ---- column kernels over a rows x k row-major range (w == k).  The
-//      kMasked forms serve the layer-2 masked entry points.  These stream
-//      rows: every table runs their wide blocks as the runtime-width loop,
-//      row by row (a row-major block read group by group would stride
-//      through memory), so they have no register-group form. ----
+//      kMasked forms serve the layer-2 masked entry points, which always
+//      run narrow or at runtime width.  Groups run inside the row loop. ----
 
 template <bool kMasked = false>
 struct AxpyCols {  // y[r,c] += a[c] * x[r,c]
@@ -279,14 +311,18 @@ struct AxpyCols {  // y[r,c] += a[c] * x[r,c]
                                        T* y, std::size_t rows,
                                        const std::uint8_t* mask = nullptr) {
     const ColGate<K, kMasked> on(mask, k);
-    const Lanes<K, const T> av(a, k);
+    const ColScalars<K, T> as(a, k);
     for (std::size_t r = 0; r < rows; ++r) {
-      const Lanes<K, const T> xr(x + r * k, k);
-      Lanes<K, T> yr(y + r * k, k);
-      for (std::size_t c = 0; c < yr.size(); ++c) {
-        if (on(c)) yr[c] += av[c] * xr[c];
+      for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+        const std::size_t c0 = g * K;
+        const auto& av = as.group(c0);
+        const Lanes<K, const T> xr(x + r * k + c0, k);
+        Lanes<K, T> yr(y + r * k + c0, k);
+        for (std::size_t c = 0; c < yr.size(); ++c) {
+          if (on(c)) yr[c] += av[c] * xr[c];
+        }
+        yr.commit();
       }
-      yr.commit();
     }
   }
 };
@@ -298,14 +334,18 @@ struct XpayCols {  // y[r,c] = x[r,c] + a[c] * y[r,c]
                                        T* y, std::size_t rows,
                                        const std::uint8_t* mask = nullptr) {
     const ColGate<K, kMasked> on(mask, k);
-    const Lanes<K, const T> av(a, k);
+    const ColScalars<K, T> as(a, k);
     for (std::size_t r = 0; r < rows; ++r) {
-      const Lanes<K, const T> xr(x + r * k, k);
-      Lanes<K, T> yr(y + r * k, k);
-      for (std::size_t c = 0; c < yr.size(); ++c) {
-        if (on(c)) yr[c] = xr[c] + av[c] * yr[c];
+      for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+        const std::size_t c0 = g * K;
+        const auto& av = as.group(c0);
+        const Lanes<K, const T> xr(x + r * k + c0, k);
+        Lanes<K, T> yr(y + r * k + c0, k);
+        for (std::size_t c = 0; c < yr.size(); ++c) {
+          if (on(c)) yr[c] = xr[c] + av[c] * yr[c];
+        }
+        yr.commit();
       }
-      yr.commit();
     }
   }
 };
@@ -317,13 +357,17 @@ struct ScaleCols {  // x[r,c] *= a[c]
                                        std::size_t rows,
                                        const std::uint8_t* mask = nullptr) {
     const ColGate<K, kMasked> on(mask, k);
-    const Lanes<K, const T> av(a, k);
+    const ColScalars<K, T> as(a, k);
     for (std::size_t r = 0; r < rows; ++r) {
-      Lanes<K, T> xr(x + r * k, k);
-      for (std::size_t c = 0; c < xr.size(); ++c) {
-        if (on(c)) xr[c] *= av[c];
+      for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+        const std::size_t c0 = g * K;
+        const auto& av = as.group(c0);
+        Lanes<K, T> xr(x + r * k + c0, k);
+        for (std::size_t c = 0; c < xr.size(); ++c) {
+          if (on(c)) xr[c] *= av[c];
+        }
+        xr.commit();
       }
-      xr.commit();
     }
   }
 };
@@ -335,17 +379,22 @@ struct SubCols {  // x[r,c] -= m[c]
                                        std::size_t rows,
                                        const std::uint8_t* mask = nullptr) {
     const ColGate<K, kMasked> on(mask, k);
-    const Lanes<K, const T> mv(m, k);
+    const ColScalars<K, T> ms(m, k);
     for (std::size_t r = 0; r < rows; ++r) {
-      Lanes<K, T> xr(x + r * k, k);
-      for (std::size_t c = 0; c < xr.size(); ++c) {
-        if (on(c)) xr[c] -= mv[c];
+      for (std::size_t g = 0; g < groups<K, T>(k); ++g) {
+        const std::size_t c0 = g * K;
+        const auto& mv = ms.group(c0);
+        Lanes<K, T> xr(x + r * k + c0, k);
+        for (std::size_t c = 0; c < xr.size(); ++c) {
+          if (on(c)) xr[c] -= mv[c];
+        }
+        xr.commit();
       }
-      xr.commit();
     }
   }
 };
 
+/// Not per table: every table shares copy_cols_t below.
 template <bool kMasked = false>
 struct CopyCols {  // dst[r,c] = src[r,c]
   template <std::size_t K, typename T>
@@ -463,7 +512,7 @@ struct SpmmRows {
 
 // ---- elimination fold / back-substitution over one column chunk: `folded`
 //      and `x` point at the chunk's first column, rows have stride k, and
-//      w = c1 - c0 is the chunk width ----
+//      w = c1 - c0 is the chunk width.  Groups run inside the step loop. ----
 
 /// A GreedyElimination record (row-indexed, so not column-shifted).
 struct StepRecord {
@@ -477,19 +526,21 @@ struct FoldCols {
                                        T* folded, std::size_t k) {
     for (std::size_t s_idx = 0; s_idx < rec.n; ++s_idx) {
       const ElimStep& s = rec.steps[s_idx];
-      const Lanes<K, const T> fv(folded + static_cast<std::size_t>(s.v) * k,
-                                 w);
-      if (s.degree >= 1) {
-        const T f = static_cast<T>(s.w1 / s.pivot);
-        Lanes<K, T> fu(folded + static_cast<std::size_t>(s.u1) * k, w);
-        for (std::size_t c = 0; c < fu.size(); ++c) fu[c] += f * fv[c];
-        fu.commit();
-      }
-      if (s.degree == 2) {
-        const T f = static_cast<T>(s.w2 / s.pivot);
-        Lanes<K, T> fu(folded + static_cast<std::size_t>(s.u2) * k, w);
-        for (std::size_t c = 0; c < fu.size(); ++c) fu[c] += f * fv[c];
-        fu.commit();
+      for (std::size_t g = 0; g < groups<K, T>(w); ++g) {
+        T* const f = folded + g * K;
+        const Lanes<K, const T> fv(f + static_cast<std::size_t>(s.v) * k, w);
+        if (s.degree >= 1) {
+          const T m = static_cast<T>(s.w1 / s.pivot);
+          Lanes<K, T> fu(f + static_cast<std::size_t>(s.u1) * k, w);
+          for (std::size_t c = 0; c < fu.size(); ++c) fu[c] += m * fv[c];
+          fu.commit();
+        }
+        if (s.degree == 2) {
+          const T m = static_cast<T>(s.w2 / s.pivot);
+          Lanes<K, T> fu(f + static_cast<std::size_t>(s.u2) * k, w);
+          for (std::size_t c = 0; c < fu.size(); ++c) fu[c] += m * fv[c];
+          fu.commit();
+        }
       }
     }
   }
@@ -501,183 +552,139 @@ struct BacksubCols {
                                        const T* folded, T* x, std::size_t k) {
     for (std::size_t s_idx = rec.n; s_idx-- > 0;) {
       const ElimStep& s = rec.steps[s_idx];
-      Lanes<K, T> xv(x + static_cast<std::size_t>(s.v) * k, w);
-      const Lanes<K, const T> fb(folded + static_cast<std::size_t>(s.v) * k,
-                                 w);
-      if (s.degree == 0) {
-        for (std::size_t c = 0; c < xv.size(); ++c) set_zero(xv[c]);
-      } else if (s.degree == 1) {
-        const T piv = static_cast<T>(s.pivot);
-        const Lanes<K, const T> xu1(x + static_cast<std::size_t>(s.u1) * k, w);
-        for (std::size_t c = 0; c < xv.size(); ++c) {
-          xv[c] = fb[c] / piv + xu1[c];
+      for (std::size_t g = 0; g < groups<K, T>(w); ++g) {
+        const T* const f = folded + g * K;
+        T* const xg = x + g * K;
+        Lanes<K, T> xv(xg + static_cast<std::size_t>(s.v) * k, w);
+        const Lanes<K, const T> fb(f + static_cast<std::size_t>(s.v) * k, w);
+        if (s.degree == 0) {
+          for (std::size_t c = 0; c < xv.size(); ++c) set_zero(xv[c]);
+        } else if (s.degree == 1) {
+          const T piv = static_cast<T>(s.pivot);
+          const Lanes<K, const T> xu1(
+              xg + static_cast<std::size_t>(s.u1) * k, w);
+          for (std::size_t c = 0; c < xv.size(); ++c) {
+            xv[c] = fb[c] / piv + xu1[c];
+          }
+        } else {
+          const T piv = static_cast<T>(s.pivot);
+          const T w1 = static_cast<T>(s.w1);
+          const T w2 = static_cast<T>(s.w2);
+          const Lanes<K, const T> xu1(
+              xg + static_cast<std::size_t>(s.u1) * k, w);
+          const Lanes<K, const T> xu2(
+              xg + static_cast<std::size_t>(s.u2) * k, w);
+          for (std::size_t c = 0; c < xv.size(); ++c) {
+            xv[c] = (fb[c] + w1 * xu1[c] + w2 * xu2[c]) / piv;
+          }
         }
-      } else {
-        const T piv = static_cast<T>(s.pivot);
-        const T w1 = static_cast<T>(s.w1);
-        const T w2 = static_cast<T>(s.w2);
-        const Lanes<K, const T> xu1(x + static_cast<std::size_t>(s.u1) * k, w);
-        const Lanes<K, const T> xu2(x + static_cast<std::size_t>(s.u2) * k, w);
-        for (std::size_t c = 0; c < xv.size(); ++c) {
-          xv[c] = (fb[c] + w1 * xu1[c] + w2 * xu2[c]) / piv;
-        }
+        xv.commit();
       }
-      xv.commit();
     }
   }
 };
 
+template <>
+inline constexpr bool kWidthIsStride<FoldCols> = false;
+template <>
+inline constexpr bool kWidthIsStride<BacksubCols> = false;
+
 // ---- the table entries (BlockOps signatures) ----
-//
-// Each entry runs its kernel through the table's dispatch policy Isa:
-// stream() for the row-streaming column kernels, grouped() for SpMM,
-// chunked() for fold/backsub, reduce() for the column reductions (which
-// carry PARSDD_LANE_REDUCTION).  BaselineIsa (the scalar table) inlines
-// run_any_width() into the entry itself; a per-ISA policy
-// (PARSDD_GROUPED_ISA) is a target-attributed function that the entry
-// tail-calls.  copy_cols is one flat loop over rows * k entries at any
-// width, the same in every table.
 
-struct BaselineIsa {
-  template <class Kernel, typename... Args>
-  PARSDD_ALWAYS_INLINE static void stream(std::size_t w, Args... args) {
-    run_any_width<Kernel>(w, args...);
-  }
-  template <class Kernel, typename T, typename... Args>
-  PARSDD_ALWAYS_INLINE static void grouped(std::size_t w, Args... args) {
-    run_any_width<Kernel>(w, args...);
-  }
-  template <class Kernel, typename... Args>
-  PARSDD_ALWAYS_INLINE static void chunked(std::size_t w, Args... args) {
-    run_any_width<Kernel>(w, args...);
-  }
-  template <class Kernel, typename T, typename... Args>
-  PARSDD_ALWAYS_INLINE static void reduce(std::size_t w, Args... args) {
-    run_any_width<Kernel>(w, args...);
-  }
-};
-
-/// Defines the dispatch policy `Name` of a per-ISA table, whose functions
-/// compile under __attribute__((target(isa))): stream() runs the narrow
-/// instantiation or the runtime-width loop, grouped() and reduce() run
-/// run_grouped(), chunked() runs run_chunked().  The file that expands it
-/// is built without -m flags, so the table is safe to link into a binary
-/// for any x86 CPU; kernels.cpp takes it only after the matching cpuid
-/// check.
-#define PARSDD_GROUPED_ISA(Name, isa)                                   \
-  struct Name {                                                         \
-    template <class Kernel, typename... Args>                           \
-    __attribute__((target(isa))) static void stream(std::size_t w,      \
-                                                    Args... args) {     \
-      if (!run_narrow<Kernel>(w, args...)) wide<Kernel>(w, args...);    \
-    }                                                                   \
-    template <class Kernel, typename... Args>                           \
-    __attribute__((target(isa), noinline)) static void wide(            \
-        std::size_t w, Args... args) {                                  \
-      Kernel::template run<0>(w, args...);                              \
-    }                                                                   \
-    template <class Kernel, typename T, typename... Args>               \
-    __attribute__((target(isa))) static void grouped(std::size_t w,     \
-                                                     Args... args) {    \
-      run_grouped<Kernel, T>(w, args...);                               \
-    }                                                                   \
-    template <class Kernel, typename... Args>                           \
-    __attribute__((target(isa))) static void chunked(std::size_t w,     \
-                                                     Args... args) {    \
-      run_chunked<Kernel>(w, args...);                                  \
-    }                                                                   \
-    template <class Kernel, typename T, typename... Args>               \
-    __attribute__((target(isa))) PARSDD_LANE_REDUCTION static void      \
-    reduce(std::size_t w, Args... args) {                               \
-      run_grouped<Kernel, T>(w, args...);                               \
-    }                                                                   \
-  }
-
-template <typename T, class Isa>
-void axpy_cols_t(const T* a, const T* x, T* y, std::size_t rows,
-                 std::size_t k) {
-  Isa::template stream<AxpyCols<>>(k, a, x, y, rows);
-}
-
-template <typename T, class Isa>
-void xpay_cols_t(const T* x, const T* a, T* y, std::size_t rows,
-                 std::size_t k) {
-  Isa::template stream<XpayCols<>>(k, x, a, y, rows);
-}
-
-template <typename T, class Isa>
-void scale_cols_t(const T* a, T* x, std::size_t rows, std::size_t k) {
-  Isa::template stream<ScaleCols<>>(k, a, x, rows);
-}
-
+/// copy_cols is one flat loop over rows * k entries at any width, the same
+/// function in every table.
 template <typename T>
 void copy_cols_t(const T* src, T* dst, std::size_t rows, std::size_t k) {
   run_any_width<CopyCols<>>(k, src, dst, rows);
 }
 
-template <typename T, class Isa>
-void sub_cols_t(const T* m, T* x, std::size_t rows, std::size_t k) {
-  Isa::template stream<SubCols<>>(k, m, x, rows);
-}
+/// Defines struct `Name`: the other BlockOps entries of one table, as
+/// static member templates over the element type, each compiled with the
+/// function attributes `attrs` (none for the scalar table, a target(...)
+/// attribute for a per-ISA table) and dispatched by run_table<..., kGrouped>.
+/// The narrow instantiations are inlined into the entries, so they compile
+/// for each table's ISA.  The reduction entries also carry
+/// PARSDD_LANE_REDUCTION.  A per-ISA file is built without -m flags, so its
+/// table is safe to link into a binary for any x86 CPU; kernels.cpp takes
+/// it only after the matching cpuid check.
+#define PARSDD_BACKEND_OPS(Name, attrs, kGrouped)                             \
+  struct Name {                                                               \
+    template <typename T>                                                     \
+    attrs static void axpy_cols(const T* a, const T* x, T* y,                 \
+                                std::size_t rows, std::size_t k) {            \
+      run_table<AxpyCols<>, T, kGrouped>(k, a, x, y, rows);                   \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void xpay_cols(const T* x, const T* a, T* y,                 \
+                                std::size_t rows, std::size_t k) {            \
+      run_table<XpayCols<>, T, kGrouped>(k, x, a, y, rows);                   \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void scale_cols(const T* a, T* x, std::size_t rows,          \
+                                 std::size_t k) {                             \
+      run_table<ScaleCols<>, T, kGrouped>(k, a, x, rows);                     \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void sub_cols(const T* m, T* x, std::size_t rows,            \
+                               std::size_t k) {                               \
+      run_table<SubCols<>, T, kGrouped>(k, m, x, rows);                       \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs PARSDD_LANE_REDUCTION static void dot_cols_acc(                     \
+        const T* x, const T* y, std::size_t rows, std::size_t k, T* acc) {    \
+      run_table<DotColsAcc, T, kGrouped>(k, x, y, rows, acc);                 \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs PARSDD_LANE_REDUCTION static void dot_diff_cols_acc(                \
+        const T* z, const T* x, const T* y, std::size_t rows, std::size_t k,  \
+        T* acc) {                                                             \
+      run_table<DotDiffColsAcc, T, kGrouped>(k, z, x, y, rows, acc);          \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs PARSDD_LANE_REDUCTION static void sum_cols_acc(                     \
+        const T* x, std::size_t rows, std::size_t k, T* acc) {                \
+      run_table<SumColsAcc, T, kGrouped>(k, x, rows, acc);                    \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void spmm_rows(const std::size_t* off,                       \
+                                const std::uint32_t* col, const T* val,       \
+                                const T* x, T* y, std::size_t r0,             \
+                                std::size_t r1, std::size_t k) {              \
+      run_table<SpmmRows, T, kGrouped>(k, CsrArrays<T>{off, col, val}, x, y,  \
+                                       r0, r1);                               \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void fold_cols(const ElimStep* steps, std::size_t nsteps,    \
+                                T* folded, std::size_t k, std::size_t c0,     \
+                                std::size_t c1) {                             \
+      run_table<FoldCols, T, kGrouped>(c1 - c0, StepRecord{steps, nsteps},    \
+                                       folded + c0, k);                       \
+    }                                                                         \
+    template <typename T>                                                     \
+    attrs static void backsub_cols(const ElimStep* steps, std::size_t nsteps, \
+                                   const T* folded, T* x, std::size_t k,      \
+                                   std::size_t c0, std::size_t c1) {          \
+      run_table<BacksubCols, T, kGrouped>(c1 - c0, StepRecord{steps, nsteps}, \
+                                          folded + c0, x + c0, k);            \
+    }                                                                         \
+  }
 
-template <typename T, class Isa>
-PARSDD_LANE_REDUCTION void dot_cols_acc_t(const T* x, const T* y,
-                                          std::size_t rows, std::size_t k,
-                                          T* acc) {
-  Isa::template reduce<DotColsAcc, T>(k, x, y, rows, acc);
-}
-
-template <typename T, class Isa>
-PARSDD_LANE_REDUCTION void dot_diff_cols_acc_t(const T* z, const T* x,
-                                               const T* y, std::size_t rows,
-                                               std::size_t k, T* acc) {
-  Isa::template reduce<DotDiffColsAcc, T>(k, z, x, y, rows, acc);
-}
-
-template <typename T, class Isa>
-PARSDD_LANE_REDUCTION void sum_cols_acc_t(const T* x, std::size_t rows,
-                                          std::size_t k, T* acc) {
-  Isa::template reduce<SumColsAcc, T>(k, x, rows, acc);
-}
-
-template <typename T, class Isa>
-void spmm_rows_t(const std::size_t* off, const std::uint32_t* col,
-                 const T* val, const T* x, T* y, std::size_t r0,
-                 std::size_t r1, std::size_t k) {
-  Isa::template grouped<SpmmRows, T>(k, CsrArrays<T>{off, col, val}, x, y,
-                                     r0, r1);
-}
-
-template <typename T, class Isa>
-void fold_cols_t(const ElimStep* steps, std::size_t nsteps, T* folded,
-                 std::size_t k, std::size_t c0, std::size_t c1) {
-  Isa::template chunked<FoldCols>(c1 - c0, StepRecord{steps, nsteps},
-                                  folded + c0, k);
-}
-
-template <typename T, class Isa>
-void backsub_cols_t(const ElimStep* steps, std::size_t nsteps, const T* folded,
-                    T* x, std::size_t k, std::size_t c0, std::size_t c1) {
-  Isa::template chunked<BacksubCols>(c1 - c0, StepRecord{steps, nsteps},
-                                     folded + c0, x + c0, k);
-}
-
-/// The op table for one element type under dispatch policy Isa, in
-/// BlockOps field order.  Every Backend is two of these.
-template <typename T, class Isa>
+/// The op table for one element type from entries Ops (a PARSDD_BACKEND_OPS
+/// struct), in BlockOps field order.  Every Backend is two of these.
+template <typename T, class Ops>
 constexpr BlockOps<T> block_ops() {
   return BlockOps<T>{
-      &axpy_cols_t<T, Isa>,
-      &xpay_cols_t<T, Isa>,
-      &scale_cols_t<T, Isa>,
+      &Ops::template axpy_cols<T>,
+      &Ops::template xpay_cols<T>,
+      &Ops::template scale_cols<T>,
       &copy_cols_t<T>,
-      &sub_cols_t<T, Isa>,
-      &dot_cols_acc_t<T, Isa>,
-      &dot_diff_cols_acc_t<T, Isa>,
-      &sum_cols_acc_t<T, Isa>,
-      &spmm_rows_t<T, Isa>,
-      &fold_cols_t<T, Isa>,
-      &backsub_cols_t<T, Isa>,
+      &Ops::template sub_cols<T>,
+      &Ops::template dot_cols_acc<T>,
+      &Ops::template dot_diff_cols_acc<T>,
+      &Ops::template sum_cols_acc<T>,
+      &Ops::template spmm_rows<T>,
+      &Ops::template fold_cols<T>,
+      &Ops::template backsub_cols<T>,
   };
 }
 
